@@ -297,22 +297,26 @@ def emit_pd(
             inv_cache[p] = c.inv(outer[p].s0, name=f"sel{p}_inv0")
         return SharePair(inv_cache[p], outer[p].s1)
 
+    # minterm v of the first `level` literals chains minterm v >> 1 of
+    # the level below with literal (level - 1, v & 1); each row walks
+    # its own chain, building the nodes it is first to need, so gates
+    # keep the order of a memoised depth-first build.
     nodes: Dict[Tuple[int, int], SharePair] = {}
-
-    def node(level: int, v: int) -> SharePair:
-        if level == 1:
-            return literal(0, v)
-        if (level, v) not in nodes:
-            x = node(level - 1, v >> 1)
-            y = literal(level - 1, v & 1)
-            nodes[(level, v)] = secand2(
-                c, x, y, tag=f"sel{level}_{v:x}", style=secand2_style
-            )
-        return nodes[(level, v)]
-
     sel_mid: List[SharePair] = []
     for r in range(plan.n_rows):
-        sel = em.refreshed("sel", r, node(plan.n_select, r), f"ref_sel{r}")
+        x = literal(0, r >> (plan.n_select - 1))
+        for level in range(2, plan.n_select + 1):
+            v = r >> (plan.n_select - level)
+            if (level, v) not in nodes:
+                nodes[(level, v)] = secand2(
+                    c,
+                    x,
+                    literal(level - 1, v & 1),
+                    tag=f"sel{level}_{v:x}",
+                    style=secand2_style,
+                )
+            x = nodes[(level, v)]
+        sel = em.refreshed("sel", r, x, f"ref_sel{r}")
         sel_mid.append(
             SharePair(
                 c.dff(sel.s0, name=f"selreg{r}_0"),
@@ -491,20 +495,19 @@ def emit_ff(
             inv_cache[p] = c.inv(outer[p].s0, name=f"sel{p}_inv0")
         return SharePair(inv_cache[p], outer[p].s1)
 
+    # same chains and build order as the PD select tree, each node
+    # paired with the cycle its shares are valid in
     nodes: Dict[Tuple[int, int], Tuple[SharePair, int]] = {}
-
-    def node(level: int, v: int) -> Tuple[SharePair, int]:
-        if level == 1:
-            return literal(0, v), 1
-        if (level, v) not in nodes:
-            x, xv = node(level - 1, v >> 1)
-            y = literal(level - 1, v & 1)
-            nodes[(level, v)] = gadget(x, y, xv, 1, f"sel{level}_{v:x}")
-        return nodes[(level, v)]
-
     sel_reg: List[SharePair] = []
     for r in range(plan.n_rows):
-        sel, sv = node(plan.n_select, r)
+        x = (literal(0, r >> (plan.n_select - 1)), 1)
+        for level in range(2, plan.n_select + 1):
+            v = r >> (plan.n_select - level)
+            if (level, v) not in nodes:
+                (xs, xv), y = x, literal(level - 1, v & 1)
+                nodes[(level, v)] = gadget(xs, y, xv, 1, f"sel{level}_{v:x}")
+            x = nodes[(level, v)]
+        sel, sv = x
         assert sv == plan.n_select
         sel = em.refreshed("sel", r, sel, f"ref_sel{r}")
         sel_reg.append(

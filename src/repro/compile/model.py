@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.gadgets import secand2_func
+from ..core.refresh_search import sampled_uniformity_defect
 from .lower import LoweredPlan
 
 __all__ = ["PlanModel", "uniformity_defect"]
@@ -55,11 +56,14 @@ class PlanModel:
     ):
         """Evaluate on ``(n_inputs, N)`` share arrays.
 
-        ``rand`` has one ``(N,)`` row per refresh position (rows of
-        dropped positions are ignored).  Returns ``(o0, o1)`` arrays of
-        shape ``(n_outputs, N)``; with ``expose_intermediates`` also the
-        per-row share-0 bit arrays and the select share-0 bits — the
-        intermediate distributions the uniformity search audits.
+        ``N`` may be any trailing shape and the arrays boolean or packed
+        ``uint64`` words; every op is bitwise, so outputs take the
+        inputs' dtype and shape.  ``rand`` has one ``(N,)`` row per
+        refresh position (rows of dropped positions are ignored).
+        Returns ``(o0, o1)`` arrays of shape ``(n_outputs, N)``; with
+        ``expose_intermediates`` also the per-row share-0 bit arrays and
+        the select share-0 bits — the intermediate distributions the
+        uniformity search audits.
         """
         plan = self.plan
         spec = plan.spec
@@ -129,24 +133,18 @@ class PlanModel:
             a0, a1 = outer[p]
             return (a0 if v else ~a0, a1)
 
-        nodes: Dict[Tuple[int, int], Share] = {}
-
-        def node(level: int, v: int) -> Share:
-            if level == 1:
-                return literal(0, v)
-            if (level, v) not in nodes:
-                x = node(level - 1, v >> 1)
-                y = literal(level - 1, v & 1)
-                nodes[(level, v)] = secand2_func(*x, *y)
-            return nodes[(level, v)]
-
-        sels: List[Share] = []
-        for r in range(plan.n_rows):
-            sel = node(plan.n_select, r)
-            sels.append(refreshed("sel", r, sel))
+        # minterm v over literals 0..p ANDs minterm v >> 1 over
+        # literals 0..p-1 with literal (p, v & 1)
+        minterms = [literal(0, 0), literal(0, 1)]
+        for p in range(1, plan.n_select):
+            minterms = [
+                secand2_func(*minterms[v >> 1], *literal(p, v & 1))
+                for v in range(2 << p)
+            ]
+        sels = [refreshed("sel", r, minterms[r]) for r in range(plan.n_rows)]
 
         # stage 2: sel AND row-bit, XOR across rows
-        o0 = np.zeros((spec.n_outputs, s0.shape[1]), dtype=bool)
+        o0 = np.zeros((spec.n_outputs,) + s0.shape[1:], dtype=s0.dtype)
         o1 = np.zeros_like(o0)
         for r, row in enumerate(plan.rows):
             for b in range(spec.n_outputs):
@@ -201,47 +199,19 @@ def uniformity_defect(
     unshared input, the joint distribution of the share-0 output bits —
     and of every row's share-0 bits, which feed the MUX stage — must be
     uniform.  Returns the maximum absolute deviation from the uniform
-    probability across all of them.
+    probability across all of them, sampled by
+    :func:`repro.core.refresh_search.sampled_uniformity_defect`.
     """
-    plan = model.plan
-    spec = plan.spec
-    rng = np.random.default_rng(seed)
-    worst = 0.0
 
-    def group_defect(bit_arrays: Sequence[np.ndarray]) -> float:
-        width = len(bit_arrays)
-        word = np.zeros(bit_arrays[0].shape[0], dtype=np.int64)
-        for a in bit_arrays:
-            word = (word << 1) | a.astype(np.int64)
-        counts = np.bincount(word, minlength=1 << width) / word.shape[0]
-        return float(np.max(np.abs(counts - 1.0 / (1 << width))))
-
-    for value in range(1 << spec.n_inputs):
-        bits = np.stack(
-            [
-                np.full(
-                    n_per_input,
-                    bool((value >> (spec.n_inputs - 1 - i)) & 1),
-                )
-                for i in range(spec.n_inputs)
-            ]
-        )
-        s1 = rng.integers(0, 2, bits.shape).astype(bool)
-        rand = rng.integers(
-            0, 2, (max(1, model.n_rand), n_per_input)
-        ).astype(bool)
+    def groups(s0, s1, rand):
         o0, _, rows_out, _ = model(
-            bits ^ s1,
-            s1,
-            rand,
-            refresh_mask=refresh_mask,
-            expose_intermediates=True,
+            s0, s1, rand, refresh_mask=refresh_mask, expose_intermediates=True
         )
-        worst = max(
-            worst, group_defect([o0[b] for b in range(spec.n_outputs)])
-        )
-        for bits_r in rows_out:
-            present = [p[0] for p in bits_r if p is not None]
-            if present:
-                worst = max(worst, group_defect(present))
-    return worst
+        return [list(o0)] + [
+            [p[0] for p in bits_r if p is not None] for bits_r in rows_out
+        ]
+
+    n_inputs = model.plan.spec.n_inputs
+    return sampled_uniformity_defect(
+        groups, n_inputs, max(1, model.n_rand), n_per_input, seed
+    )

@@ -16,14 +16,28 @@ the trial that drops position ``pos``, and ``FINAL_SALT`` for the
 confirmation run on the final mask.  These values are pinned so the
 factored search reproduces the historical ``des.selective_refresh``
 numerics bit-for-bit.
+
+:func:`sampled_uniformity_defect` is the one sampled-uniformity routine
+both defect functions (and the certifier's uniformity audit) run on: it
+evaluates a share-level model once over every unshared input, with the
+samples bit-packed 64 to a ``uint64`` word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-__all__ = ["FINAL_SALT", "GreedySearchResult", "greedy_minimize"]
+import numpy as np
+
+from ..sim.bitpack import LANE_BITS, n_lanes, popcount
+
+__all__ = [
+    "FINAL_SALT",
+    "GreedySearchResult",
+    "greedy_minimize",
+    "sampled_uniformity_defect",
+]
 
 #: Salt of the confirmation evaluation on the final mask (historical
 #: constant from the original DES search; changing it would shift the
@@ -91,3 +105,77 @@ def greedy_minimize(
     return GreedySearchResult(
         mask=tuple(mask), defect=final, floor=floor, threshold=threshold
     )
+
+
+#: ``evaluate(s0, s1, rand)`` of :func:`sampled_uniformity_defect`:
+#: returns the share-0 bit groups whose joint distribution must be
+#: uniform, each a sequence of ``(n_values, n_words)`` packed arrays.
+GroupsFn = Callable[
+    [np.ndarray, np.ndarray, np.ndarray], Iterable[Sequence[np.ndarray]]
+]
+
+
+def sampled_uniformity_defect(
+    evaluate: GroupsFn,
+    n_inputs: int,
+    n_rand: int,
+    n_per_input: int,
+    seed: int,
+) -> float:
+    """Worst deviation of any share-0 bit group from uniform, over all
+    ``2**n_inputs`` unshared inputs.
+
+    For every unshared input ``v`` the model sees ``n_per_input``
+    random sharings (``s1`` uniform, ``s0 = v ^ s1``) and uniform
+    refresh bits.  All inputs are evaluated in one ``evaluate`` call on
+    packed words: ``s0``/``s1`` are ``(n_inputs, n_values, n_words)``
+    and ``rand`` is ``(n_rand, n_values, n_words)`` ``uint64``, sample
+    ``i`` of input ``v`` in bit ``i % 64`` of word ``[v, i // 64]``.
+    For each returned group of ``w`` bits, every joint pattern is
+    counted per input with AND/NOT masks and a popcount (padding bits of
+    the last word masked out); the result is the maximum of
+    ``|count / n_per_input - 2**-w|``.
+
+    RNG contract: the sample for input ``v`` is drawn in the order the
+    per-input loop it replaces drew it — ``v = 0, 1, ...``, the share-1
+    bits ``(n_inputs, n_per_input)`` then the refresh bits
+    ``(n_rand, n_per_input)`` — each by ``integers(0, 2, ...)``.  A
+    0/1 bounded draw consumes one 32-bit output per value whatever the
+    call split, and ``dtype=np.uint32`` yields the same values as the
+    default int64, so the defects (and every pinned refresh plan) are
+    bit-identical to that loop.
+    """
+    n_values = 1 << n_inputs
+    n_rows = n_inputs + n_rand
+    n_words = n_lanes(n_per_input)
+    rng = np.random.default_rng(seed)
+    drawn = np.zeros((n_rows, n_values, n_words * LANE_BITS), dtype=bool)
+    for value in range(n_values):
+        drawn[:, value, :n_per_input] = rng.integers(
+            0, 2, (n_rows, n_per_input), dtype=np.uint32
+        )
+    packed = np.packbits(drawn, axis=-1, bitorder="little").view(np.uint64)
+    del drawn
+    shifts = np.arange(n_inputs - 1, -1, -1)[:, None]
+    value_bits = (np.arange(n_values) >> shifts) & 1
+    s1 = packed[:n_inputs]
+    s0 = s1 ^ (value_bits.astype(np.uint64) * ~np.uint64(0))[..., None]
+    valid = np.packbits(
+        np.arange(n_words * LANE_BITS) < n_per_input, bitorder="little"
+    ).view(np.uint64)
+
+    worst = 0.0
+    for group in evaluate(s0, s1, packed[n_inputs:]):
+        if not len(group):
+            continue
+        # patterns[p] selects the samples whose group bits read p,
+        # first bit most significant
+        patterns = np.broadcast_to(valid, group[0].shape)[None]
+        for bit in group:
+            patterns = np.stack(
+                [patterns & ~bit, patterns & bit], axis=1
+            ).reshape((-1,) + bit.shape)
+        counts = popcount(patterns).sum(axis=-1, dtype=np.int64)
+        deviation = np.abs(counts / n_per_input - 1.0 / patterns.shape[0])
+        worst = max(worst, float(np.max(deviation)))
+    return worst

@@ -82,7 +82,9 @@ class MaskedSboxModel:
 
         Args:
             x_s0, x_s1: (6, n) share matrices of the six input bits
-                (x0..x5, paper order: x0 MSB).
+                (x0..x5, paper order: x0 MSB).  ``n`` may be any
+                trailing shape and the matrices boolean or packed
+                ``uint64`` words; outputs take their dtype and shape.
             rand14: (14, n) fresh random bits: [0..9] product refresh,
                 [10..13] select-product refresh.
             refresh_mask: Optional 14 booleans selecting which refresh
@@ -100,7 +102,7 @@ class MaskedSboxModel:
         """
         if refresh_mask is None:
             refresh_mask = [True] * 14
-        n = x_s0.shape[1]
+        zero = np.zeros_like(x_s0[0])
         xs = [(x_s0[i], x_s1[i]) for i in range(6)]
         mid = xs[1:5]  # x1..x4 — mini S-box inputs
 
@@ -136,8 +138,8 @@ class MaskedSboxModel:
         for row in self.decomp.rows:
             bits: List[_ShareVec] = []
             for b in range(4):
-                acc0 = np.full(n, bool(row.constants[b]))
-                acc1 = np.zeros(n, dtype=bool)
+                acc0 = ~zero if row.constants[b] else zero
+                acc1 = zero
                 for v in row.linear[b]:
                     acc0 = acc0 ^ mid[v][0]
                     acc1 = acc1 ^ mid[v][1]
@@ -165,8 +167,8 @@ class MaskedSboxModel:
 
         # --- MUX stage 2: 16 secAND2 (select x mini output) and
         # stage 3: XOR the four rows per output bit.
-        out0 = np.zeros((4, n), dtype=bool)
-        out1 = np.zeros((4, n), dtype=bool)
+        out0 = np.zeros((4,) + zero.shape, dtype=zero.dtype)
+        out1 = np.zeros_like(out0)
         for b in range(4):
             acc: Optional[_ShareVec] = None
             for r in range(4):

@@ -22,13 +22,10 @@ uniformity the refresh layer is there to restore.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-import numpy as np
-
-from ..core.refresh_search import greedy_minimize
-from .bits import int_to_bitarray
-from .masked_core import MaskedSboxModel
+from ..core.refresh_search import greedy_minimize, sampled_uniformity_defect
+from .masked_core import SBOX_RANDOM_BITS, MaskedSboxModel
 
 __all__ = [
     "uniformity_defect",
@@ -47,42 +44,24 @@ def uniformity_defect(
     """Worst deviation of P(output share-0 nibble | input) from uniform.
 
     Returns the maximum over all 64 unshared inputs of
-    ``max_v |P(nibble = v) - 1/16|``; a secure refresh plan keeps this
-    at the statistical-noise floor (~sqrt(1/16 * 15/16 / n)).
+    ``max_v |P(nibble = v) - 1/16|`` — for the final output nibble and
+    every mini-S-box output nibble, which feed the MUX AND stage and
+    the XOR plane; a secure refresh plan keeps this at the
+    statistical-noise floor (~sqrt(1/16 * 15/16 / n)).  Sampled by
+    :func:`repro.core.refresh_search.sampled_uniformity_defect`.
     """
     model = MaskedSboxModel(sbox)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
     mask = list(refresh_mask)
 
-    def nibble_defect(bits4: Sequence[np.ndarray]) -> float:
-        nib = (
-            bits4[0].astype(np.int64) * 8
-            + bits4[1] * 4
-            + bits4[2] * 2
-            + bits4[3]
+    def groups(s0, s1, rand14):
+        o0, _, rows_out, _ = model(
+            s0, s1, rand14, refresh_mask=mask, expose_intermediates=True
         )
-        counts = np.bincount(nib, minlength=16) / nib.shape[0]
-        return float(np.max(np.abs(counts - 1.0 / 16)))
+        return [list(o0)] + [[bit[0] for bit in row] for row in rows_out]
 
-    for value in range(64):
-        bits = int_to_bitarray(np.uint64(value), 6, n_per_input)
-        share1 = rng.integers(0, 2, (6, n_per_input)).astype(bool)
-        rand14 = rng.integers(0, 2, (14, n_per_input)).astype(bool)
-        o0, _, rows_out, sel = model(
-            bits ^ share1,
-            share1,
-            rand14,
-            refresh_mask=mask,
-            expose_intermediates=True,
-        )
-        # the final output nibble ...
-        worst = max(worst, nibble_defect([o0[b] for b in range(4)]))
-        # ... and every mini-S-box output nibble (share 0) must be
-        # uniform: these feed the MUX AND stage and the XOR plane.
-        for row in rows_out:
-            worst = max(worst, nibble_defect([row[b][0] for b in range(4)]))
-    return worst
+    return sampled_uniformity_defect(
+        groups, 6, SBOX_RANDOM_BITS, n_per_input, seed
+    )
 
 
 @dataclass(frozen=True)

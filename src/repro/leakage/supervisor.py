@@ -339,6 +339,15 @@ def _init_supervised_worker(
 ) -> None:
     """Pool initializer: campaign state + heartbeat slot + chaos hooks."""
     global _HB, _HB_SLOTS, _MY_SLOT
+    # Forked workers inherit the parent's flush-and-exit handlers.  The
+    # inherited SIGTERM handler only records the signal, so a worker
+    # blocked on the task-queue lock went back to waiting instead of
+    # dying on Pool.terminate() and teardown hung: restore the default
+    # action.  SIGINT, which a terminal sends to the whole process
+    # group, is ignored — the parent alone flushes the checkpoint and
+    # tears the pool down.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _init_worker(source, config, transport, shm_prefix, obs_ctx)
     _HB = hb
     _HB_SLOTS = n_slots
@@ -479,7 +488,9 @@ def run_campaign_supervised(
             failure behaviour.
         handle_signals: Install SIGINT/SIGTERM handlers (main thread
             only) that flush a final checkpoint and raise
-            :class:`CampaignInterrupted`.
+            :class:`CampaignInterrupted`.  Pool workers never keep
+            them: each restores the default SIGTERM action and ignores
+            SIGINT, leaving shutdown to this process.
         stop_after_batches: Merge at most this many batches in this
             process, then checkpoint and raise
             :class:`CampaignInterrupted` — time-sliced operation for

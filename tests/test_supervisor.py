@@ -7,8 +7,10 @@ real process-level failure, which lives in ``test_chaos.py`` and
 ``test_hard_crash_resume.py``.
 """
 
+import glob
 import json
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -197,6 +199,49 @@ def test_supervised_parallel_matches_serial(tmp_path):
         handle_signals=False,
     )
     assert_same_result(res, run_campaign(Synth(), cfg))
+    assert scavenge_orphans() == []
+
+
+class SignalProbe:
+    """Chaos hook: each pool worker records its signal dispositions."""
+
+    def __init__(self, out_dir):
+        self.out_dir = out_dir
+
+    def worker_setup(self):
+        path = os.path.join(self.out_dir, f"worker-{os.getpid()}.json")
+        with open(path, "w") as f:
+            json.dump(
+                {
+                    "sigterm_default": signal.getsignal(signal.SIGTERM)
+                    is signal.SIG_DFL,
+                    "sigint_ignored": signal.getsignal(signal.SIGINT)
+                    is signal.SIG_IGN,
+                },
+                f,
+            )
+
+
+def test_forked_workers_do_not_inherit_signal_handlers(tmp_path):
+    # An inherited SIGTERM handler kept Pool.terminate() from killing a
+    # worker blocked on the task-queue lock, so pool teardown hung.
+    before = signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT)
+    cfg = CampaignConfig(**CFG, label="signals", start_method="fork")
+    res = run_campaign_supervised(
+        Synth(), cfg, str(tmp_path / "ckpt.npz"), n_workers=2,
+        handle_signals=True, chaos=SignalProbe(str(tmp_path)),
+    )
+    assert_same_result(res, run_campaign(Synth(), cfg))
+    reports = []
+    for path in glob.glob(str(tmp_path / "worker-*.json")):
+        with open(path) as f:
+            reports.append(json.load(f))
+    assert reports
+    assert all(r == {"sigterm_default": True, "sigint_ignored": True}
+               for r in reports)
+    # the parent's own handlers are restored after the run
+    after = signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT)
+    assert after == before
     assert scavenge_orphans() == []
 
 
