@@ -24,7 +24,7 @@ from repro.faults import (
     PDBankSource,
     shift_gate_delay,
 )
-from repro.leakage import CampaignConfig, run_campaign, run_campaign_resilient
+from repro.leakage import CampaignConfig, run_campaign, run_campaign_supervised
 from repro.leakage.acquisition import CampaignBatchError
 from repro.netlist.safety import check_secand2_ordering, min_ordering_margin
 
@@ -63,7 +63,7 @@ def main() -> None:
     source = PDBankSource(bank)
     cfg = CampaignConfig(
         n_traces=2000, batch_size=500, noise_sigma=1.0, seed=5,
-        label="pd-bank resilient",
+        label="pd-bank supervised",
     )
     reference = run_campaign(source, cfg)
 
@@ -79,10 +79,12 @@ def main() -> None:
     ckpt = os.path.join(tempfile.mkdtemp(), "campaign.npz")
     crashy = DiesAtBatch3(bank)
     try:
-        run_campaign_resilient(crashy, cfg, ckpt)
+        # quarantine off: a batch whose source raises ends the run at
+        # once, with the completed prefix checkpointed
+        run_campaign_supervised(crashy, cfg, ckpt, quarantine_batches=False)
     except CampaignBatchError as exc:
         print(f"interrupted: {exc}")
-    resumed = run_campaign_resilient(source, cfg, ckpt)
+    resumed = run_campaign_supervised(source, cfg, ckpt)
     identical = all(
         np.array_equal(a, b)
         for a, b in ((reference.t1, resumed.t1), (reference.t2, resumed.t2),

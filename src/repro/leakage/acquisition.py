@@ -26,8 +26,14 @@ bit for bit (see :meth:`TTestAccumulator.merge`).  A parallel campaign
 is therefore not "statistically equivalent" to the serial one; it is
 the same result.
 
-For parallelism to actually pay, three things have to hold, and this
-module enforces all three:
+Every runner drives the one batch loop and worker pool of
+:mod:`repro.leakage.supervisor`.  The plain runners here run it without
+a checkpoint, retries, quarantine or signal handlers: a failing batch
+raises :class:`CampaignBatchError`, and a pool that loses a worker is
+replaced by in-process serial execution instead of hanging.
+
+For parallelism to actually pay, three things have to hold, and the
+loop enforces all three:
 
 1. **Cheap shard transport.**  Workers return one contiguous moment
    buffer per batch (``transport="pickle"``) or just a shared-memory
@@ -39,7 +45,8 @@ module enforces all three:
    ``spawn`` each worker warms itself once in ``_init_worker``.  The
    warmed circuits are pinned — a structural edit mid-campaign raises
    :class:`repro.sim.compiled.StaleScheduleError` instead of silently
-   simulating a different device.
+   simulating a different device.  A serial campaign never warms up:
+   its first batch compiles what it needs.
 3. **A sane worker count.**  ``n_workers="auto"`` resolves against
    ``os.cpu_count()``; an explicit request exceeding the core count
    triggers an :class:`OversubscriptionWarning` (never again a silent
@@ -56,24 +63,17 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import time
 import traceback
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
 from ..obs import metrics as obs_metrics
-from ..obs.summary import campaign_phases
-from ..obs.trace import (
-    adopt_trace_context,
-    get_tracer,
-    ingest_spans,
-    trace,
-    trace_context,
-    tracing_enabled,
-)
+from ..obs.trace import adopt_trace_context, get_tracer, ingest_spans, trace
 from ..sim.bitpack import LANE_BITS, resolve_pack_traces
 from ..sim.compiled import pin_schedule_cache, schedule_cache_counters
 from .stats import BatchRecord, CampaignStats
@@ -84,15 +84,10 @@ from .stats import BatchRecord, CampaignStats
 _M_CLAMPED = "power.clamped_events"
 from .transport import (
     ShardPayload,
-    adopt_shard,
     mark_shard_sent,
-    new_campaign_prefix,
     pack_shard,
     resolve_transport,
-    scavenge_orphans,
-    segment_prefix,
     set_segment_prefix,
-    unpack_shard,
 )
 from .tvla import TTestAccumulator, TvlaResult
 
@@ -170,8 +165,8 @@ class TraceSource(Protocol):
     ``warmup() -> Sequence[Circuit]``: simulate one throwaway trace so
     every event-schedule the campaign will replay is compiled, and
     return the circuits involved.  The campaign runners call it once
-    per process (parent before fork, workers under spawn) and pin the
-    returned circuits' schedule caches for the campaign's duration.
+    per process (parent before fork, workers under spawn; never on the
+    serial path) and pin the returned circuits' schedule caches.
     """
 
     n_samples: int
@@ -439,11 +434,11 @@ def _timed_batch(
 def _warm_source(source: TraceSource) -> float:
     """Warm and pin the source's schedule caches; returns seconds spent.
 
-    No-op (0.0) for sources without a ``warmup()`` method.  Runs once
-    per process: in the parent before a ``fork`` pool is built (the
-    workers inherit the warm cache through copy-on-write), and inside
-    ``_init_worker`` (a cache hit under ``fork``, the real warm-up
-    under ``spawn``).
+    No-op (0.0) for sources without a ``warmup()`` method.  Runs at
+    most once per campaign and process: in the parent before the first
+    ``fork`` pool is built (the workers inherit the warm cache through copy-on-write)
+    or to validate a ``worker_timeout_s``, and inside ``_init_worker``
+    (a cache hit under ``fork``, the real warm-up under ``spawn``).
     """
     warm = getattr(source, "warmup", None)
     if warm is None:
@@ -472,15 +467,36 @@ def _warm_source(source: TraceSource) -> float:
 # initializer so the source/config are not re-pickled per task.
 _WORKER_STATE: Optional[Tuple[TraceSource, CampaignConfig, str]] = None
 
+#: Heartbeat slot layout, in doubles per slot: last beat
+#: (``time.monotonic``, comparable across processes on the platforms
+#: the pool runs on), batch index (-1 before the first batch), busy
+#: flag, worker pid.
+_HB_FIELDS = 4
+_HB = None
+_MY_SLOT = -1
+
 
 def _init_worker(
     source: TraceSource,
     config: CampaignConfig,
     transport: str,
-    shm_prefix: Optional[str] = None,
-    obs_ctx: Optional[dict] = None,
+    shm_prefix: Optional[str],
+    obs_ctx: Optional[dict],
+    hb,
+    slot_counter,
+    worker_setup: Optional[Callable[[], None]] = None,
 ) -> None:
-    global _WORKER_STATE
+    """Pool initializer: campaign state, heartbeat slot, chaos hook."""
+    global _WORKER_STATE, _HB, _MY_SLOT
+    # Forked workers inherit the parent's flush-and-exit handlers.  The
+    # inherited SIGTERM handler only records the signal, so a worker
+    # blocked on the task-queue lock went back to waiting instead of
+    # dying on Pool.terminate() and teardown hung: restore the default
+    # action.  SIGINT, which a terminal sends to the whole process
+    # group, is ignored — the parent alone flushes the checkpoint and
+    # tears the pool down.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     # Adopt (or, when the parent is untraced, drop) the parent's trace
     # context before anything that might open spans.  Under ``fork``
     # this also discards the inherited copy of the parent's span
@@ -489,6 +505,21 @@ def _init_worker(
     set_segment_prefix(shm_prefix)
     _warm_source(source)
     _WORKER_STATE = (source, config, transport)
+    with slot_counter.get_lock():
+        _MY_SLOT = slot_counter.value % (len(hb) // _HB_FIELDS)
+        slot_counter.value += 1
+    _HB = hb
+    _beat(-1, busy=False)
+    if worker_setup is not None:
+        worker_setup()
+
+
+def _beat(index: int, busy: bool) -> None:
+    """Stamp this worker's heartbeat slot (one lock acquisition)."""
+    base = _HB_FIELDS * _MY_SLOT
+    _HB[base:base + _HB_FIELDS] = [
+        time.monotonic(), float(index), float(busy), float(os.getpid()),
+    ]
 
 
 @dataclass
@@ -509,29 +540,35 @@ class _WorkerFailure:
 def _worker_batch(
     item: Tuple[int, int]
 ) -> "Tuple[ShardPayload, BatchRecord] | _WorkerFailure":
+    """One batch in a pool worker, with heartbeat stamps around it."""
     index, n = item
     source, config, transport = _WORKER_STATE  # type: ignore[misc]
-    tracer = get_tracer()
-    span_mark = tracer.mark() if tracer is not None else 0
-    before = obs_metrics.snapshot()
+    _beat(index, busy=True)
     try:
-        acc, record = _timed_batch(source, config, index, n)
-        payload = pack_shard(acc, transport)
-    except Exception as exc:
-        return _WorkerFailure(
-            index, f"{type(exc).__name__}: {exc}", traceback.format_exc()
-        )
-    record.pipe_bytes = payload.pipe_bytes
-    # Ship this batch's registry delta (and, when tracing, its spans)
-    # to the parent on the record — the worker→parent aggregation path
-    # that keeps one metrics snapshot covering the whole campaign.
-    record.metrics = obs_metrics.snapshot().diff(before).as_dict()
-    if tracer is not None:
-        record.spans = tracer.spans(since=span_mark)
-    # Ownership of a shared-memory segment moves to the parent with
-    # this return; drop it from our registry so the worker's exit
-    # finalizer can't unlink a segment the parent is about to read.
-    return mark_shard_sent(payload), record
+        tracer = get_tracer()
+        span_mark = tracer.mark() if tracer is not None else 0
+        before = obs_metrics.snapshot()
+        try:
+            acc, record = _timed_batch(source, config, index, n)
+            payload = pack_shard(acc, transport)
+        except Exception as exc:
+            return _WorkerFailure(
+                index, f"{type(exc).__name__}: {exc}", traceback.format_exc()
+            )
+        record.pipe_bytes = payload.pipe_bytes
+        # Ship this batch's registry delta (and, when tracing, its
+        # spans) to the parent on the record — the worker→parent
+        # aggregation path that keeps one metrics snapshot covering the
+        # whole campaign.
+        record.metrics = obs_metrics.snapshot().diff(before).as_dict()
+        if tracer is not None:
+            record.spans = tracer.spans(since=span_mark)
+        # Ownership of a shared-memory segment moves to the parent with
+        # this return; drop it from our registry so the worker's exit
+        # finalizer can't unlink a segment the parent is about to read.
+        return mark_shard_sent(payload), record
+    finally:
+        _beat(index, busy=False)
 
 
 def _absorb_record(record: BatchRecord) -> None:
@@ -551,18 +588,6 @@ def _absorb_record(record: BatchRecord) -> None:
         record.spans = None
 
 
-def _attach_phases(stats: CampaignStats, span_mark: int) -> None:
-    """Aggregate this run's spans into ``stats.phases`` (traced runs)."""
-    tracer = get_tracer()
-    if tracer is not None:
-        stats.phases = campaign_phases(tracer.spans(since=span_mark))
-
-
-def _trace_mark() -> int:
-    tracer = get_tracer()
-    return tracer.mark() if tracer is not None else 0
-
-
 def _pool_context(config: CampaignConfig):
     """The multiprocessing context campaign pools run under.
 
@@ -576,99 +601,6 @@ def _pool_context(config: CampaignConfig):
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
-
-
-def _campaign_pool(
-    n_workers: int,
-    source: TraceSource,
-    config: CampaignConfig,
-    transport: str,
-    stats: Optional[CampaignStats] = None,
-) -> "multiprocessing.pool.Pool":
-    """Worker pool primed with the campaign state.
-
-    Under ``fork`` the source is warmed (and its circuits pinned) in
-    the parent *before* the pool is created, so every worker inherits
-    the compiled schedules; under ``spawn`` the workers warm themselves
-    in :func:`_init_worker`.
-    """
-    ctx = _pool_context(config)
-    if segment_prefix() is None:
-        # One prefix per campaign run: every segment any worker creates
-        # is attributable (and scavengeable) by the parent.
-        set_segment_prefix(new_campaign_prefix())
-    if ctx.get_start_method() == "fork":
-        warm_s = _warm_source(source)
-        if stats is not None:
-            stats.warmup_seconds += warm_s
-    # Capture the context *before* opening the setup span so worker
-    # spans root under the campaign span, not under pool setup.
-    obs_ctx = trace_context()
-    with trace("campaign.pool_setup", n_workers=n_workers):
-        return ctx.Pool(
-            n_workers,
-            initializer=_init_worker,
-            initargs=(
-                source, config, transport, segment_prefix(), obs_ctx,
-            ),
-        )
-
-
-def _iter_shards(
-    source: TraceSource,
-    config: CampaignConfig,
-    n_workers: "Optional[int | str]",
-    stats: CampaignStats,
-) -> Iterator[TTestAccumulator]:
-    """Yield one accumulator shard per batch, in batch order.
-
-    Effective ``n_workers <= 1``: batches are simulated in-process.
-    Otherwise a process pool shards them; ``imap`` keeps the yield
-    order equal to the batch order, so consumers merging shards as they
-    arrive get the serial result bit for bit.  Appends one
-    :class:`BatchRecord` per yielded shard to ``stats``.
-    """
-    plan = _batch_plan(config)
-    if n_workers is None:
-        n_workers = config.n_workers
-    effective = resolve_n_workers(n_workers, len(plan))
-    stats.requested_workers = n_workers
-    stats.n_workers = effective
-    stats.oversubscribed = effective > stats.cpu_count
-    if effective == 1:
-        stats.start_method = "serial"
-        stats.transport = "none"
-        for index, n in plan:
-            try:
-                shard, record = _timed_batch(source, config, index, n)
-            except Exception as exc:
-                raise CampaignBatchError(
-                    index, config.label, f"{type(exc).__name__}: {exc}"
-                ) from exc
-            stats.batches.append(record)
-            yield shard
-        return
-    transport = resolve_transport(config.transport, source.n_samples)
-    stats.start_method = _pool_context(config).get_start_method()
-    stats.transport = transport
-    try:
-        with _campaign_pool(effective, source, config, transport, stats) as pool:
-            for out in pool.imap(_worker_batch, plan):
-                if isinstance(out, _WorkerFailure):
-                    raise CampaignBatchError(
-                        out.index, config.label, out.message, out.traceback
-                    )
-                payload, record = out
-                adopt_shard(payload)
-                _absorb_record(record)
-                stats.batches.append(record)
-                yield unpack_shard(payload)
-    finally:
-        # The pool is dead here (the context manager terminated it), so
-        # anything the prefix scan finds is a true orphan — in-flight
-        # shards of a cancelled run, or leftovers of killed workers.
-        with trace("campaign.scavenge"):
-            stats.scavenged_segments += len(scavenge_orphans())
 
 
 def _begin_stats(config: CampaignConfig) -> CampaignStats:
@@ -690,6 +622,11 @@ def run_campaign(
 ) -> TvlaResult:
     """Run one fixed-vs-random TVLA campaign against ``source``.
 
+    Fails fast: no checkpoint, no retries, no quarantine, no signal
+    handlers.  A batch that raises ends the campaign with a
+    :class:`CampaignBatchError`; a pool that loses a worker finishes the
+    campaign serially.
+
     Args:
         source: Device under test.
         config: Campaign parameters.
@@ -699,17 +636,10 @@ def run_campaign(
             :class:`CampaignStats` (``result.stats``) records the
             topology, throughput and transport actually used.
     """
+    from .supervisor import _campaign_loop, _drain
+
     stats = _begin_stats(config)
-    span_mark = _trace_mark()
-    t0 = time.perf_counter()
-    acc = TTestAccumulator(source.n_samples)
-    with trace("campaign.run", label=config.label, n_traces=config.n_traces):
-        for shard in _iter_shards(source, config, n_workers, stats):
-            with trace("campaign.merge"):
-                acc.merge(shard)
-    stats.wall_seconds = time.perf_counter() - t0
-    if tracing_enabled():
-        _attach_phases(stats, span_mark)
+    acc = _drain(_campaign_loop(source, config, stats, n_workers=n_workers))
     return acc.result(label=config.label, stats=stats)
 
 
@@ -732,7 +662,7 @@ def detect_leakage_traces(
     With parallel workers batches are simulated ahead in parallel but
     *checked* strictly in batch order, so the detection point is the
     same as the serial run's; workers simulating batches beyond the
-    detection point are cancelled when the generator is closed.  (The
+    detection point are cancelled when the batch loop is closed.  (The
     ``auto`` transport resolves to ``pickle`` here: cancellation can
     drop in-flight results, which must not strand shared-memory
     segments.)
@@ -740,35 +670,25 @@ def detect_leakage_traces(
     Returns:
         ``(n_traces_at_detection or None, final TvlaResult)``.
     """
+    from .supervisor import _campaign_loop
+
     if config.transport == "auto":
         config = replace(config, transport="pickle")
     stats = _begin_stats(config)
-    span_mark = _trace_mark()
-    t0 = time.perf_counter()
-    acc = TTestAccumulator(source.n_samples)
     hits = 0
     detected: Optional[int] = None
-    shards = _iter_shards(source, config, n_workers, stats)
+    loop = _campaign_loop(source, config, stats, n_workers=n_workers)
     try:
-        with trace(
-            "campaign.run", label=config.label, n_traces=config.n_traces
-        ):
-            for shard in shards:
-                with trace("campaign.merge"):
-                    acc.merge(shard)
-                t = acc.t_stats(order)
-                if np.max(np.abs(t)) > threshold:
-                    hits += 1
-                    if hits >= consecutive and detected is None:
-                        detected = acc.n_traces
-                        break
-                else:
-                    hits = 0
+        for acc in loop:
+            if np.max(np.abs(acc.t_stats(order))) > threshold:
+                hits += 1
+                if hits >= consecutive:
+                    detected = acc.n_traces
+                    break
+            else:
+                hits = 0
     finally:
-        shards.close()
-    stats.wall_seconds = time.perf_counter() - t0
-    if tracing_enabled():
-        _attach_phases(stats, span_mark)
+        loop.close()
     return detected, acc.result(label=config.label, stats=stats)
 
 

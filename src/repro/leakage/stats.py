@@ -64,7 +64,7 @@ class CampaignStats:
     transport: str = "none"
     wall_seconds: float = 0.0
     warmup_seconds: float = 0.0
-    pool_rebuilds: int = 0  #: resilient runner: pool teardown/retry count
+    pool_rebuilds: int = 0  #: pool teardowns after a failed batch
     restarts: int = 0  #: supervisor: times the campaign resumed from disk
     watchdog_kills: int = 0  #: supervisor: pools killed by the watchdog
     checkpoint_restores: int = 0  #: fallbacks to an older checkpoint generation

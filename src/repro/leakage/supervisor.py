@@ -1,12 +1,12 @@
-"""Crash-safe campaign supervisor.
+"""The campaign batch loop and its crash-safe supervisor.
 
-:func:`run_campaign_resilient` retries transient worker failures, but a
+Every campaign runner drives the one batch loop here;
+:func:`run_campaign_supervised` is the one with a checkpoint path.  A
 production-scale TVLA campaign (the paper's Figs. 14-17 at 2M traces
-span hours across many workers) dies in harder ways: a ``kill -9``
-mid-checkpoint, a worker that hangs instead of crashing, a corrupted
-checkpoint file greeting the restart, a shared-memory segment stranded
-by an abnormal exit.  This module wraps the same acquisition machinery
-in a supervisor hardened against process-level failure:
+span hours across many workers) dies in hard ways: a ``kill -9``
+mid-checkpoint, a worker that hangs or dies, a corrupted checkpoint
+file greeting the restart, a shared-memory segment stranded by an
+abnormal exit.  The loop is hardened against each:
 
 * **Checksummed, schema-versioned checkpoints** — every checkpoint
   carries a CRC over its payload arrays; a truncated or bit-flipped
@@ -20,9 +20,10 @@ in a supervisor hardened against process-level failure:
   checkpoint, write a ``<path>.interrupted`` resume marker and raise
   :class:`CampaignInterrupted`; the next run resumes bitwise.
 * **Worker heartbeat / watchdog** — workers stamp a shared heartbeat
-  before and after each batch; a worker whose heartbeat goes stale
-  mid-batch (or a head batch exceeding ``worker_timeout_s``) is killed
-  with its pool and the batch is reassigned.  Kills are counted in
+  (batch index, busy flag, pid) before and after each batch.  A worker
+  that died with a batch still pending, a busy worker whose heartbeat
+  goes stale, or a head batch exceeding ``worker_timeout_s`` gets the
+  pool killed and the batch reassigned.  Kills are counted in
   :attr:`CampaignStats.watchdog_kills`.
 * **Poison-batch quarantine** — a batch that keeps failing across
   pool generations (``max_retries`` exceeded, failures observed from
@@ -32,9 +33,9 @@ in a supervisor hardened against process-level failure:
   continues instead of aborting.  Quarantined indices persist in the
   checkpoint, so a resumed run does not silently retry a known-poison
   batch.
-* **Orphan scavenging** — every pool teardown and the final exit sweep
-  call :func:`repro.leakage.transport.scavenge_orphans`, so abnormal
-  exits never leak ``shared_memory`` segments.
+* **Orphan scavenging** — every pool teardown calls
+  :func:`repro.leakage.transport.scavenge_orphans`, so abnormal exits
+  never leak ``shared_memory`` segments.
 
 When nothing goes wrong — and when every injected failure is of a
 recoverable kind — the supervised campaign produces the bitwise
@@ -55,35 +56,33 @@ import os
 import signal
 import threading
 import time
+import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..obs import metrics as obs_metrics
-from ..obs.trace import trace, trace_context, tracing_enabled
+from ..obs.log import get_logger
+from ..obs.summary import campaign_phases
+from ..obs.trace import get_tracer, trace, trace_context
 from .acquisition import (
+    _HB_FIELDS,
     CampaignBatchError,
     CampaignConfig,
     TraceSource,
     _absorb_record,
-    _attach_phases,
     _batch_plan,
+    _begin_stats,
     _init_worker,
     _pool_context,
     _timed_batch,
-    _trace_mark,
     _warm_source,
     _WorkerFailure,
     _worker_batch,
     resolve_n_workers,
-)
-from .resilient import (
-    _FINGERPRINT_FIELDS,
-    quarantine_checkpoint,
-    validate_runner_args,
 )
 from .stats import CampaignStats
 from .transport import (
@@ -104,7 +103,12 @@ __all__ = [
     "SupervisorCheckpoint",
     "save_checkpoint_supervised",
     "load_checkpoint_supervised",
+    "save_checkpoint",
+    "load_checkpoint",
+    "quarantine_checkpoint",
+    "validate_runner_args",
     "run_campaign_supervised",
+    "run_campaign_resilient",
 ]
 
 SUPERVISOR_CHECKPOINT_VERSION = 2
@@ -113,8 +117,14 @@ SUPERVISOR_CHECKPOINT_VERSION = 2
 #: itself).
 _CRC_KEY = "crc32"
 
+#: Fingerprint fields that must match between a checkpoint and the
+#: campaign resuming from it.
+_FINGERPRINT_FIELDS = ("n_traces", "batch_size", "noise_sigma", "seed", "label")
+
 #: Poll interval of the parent's watchdog wait loop.
 _POLL_S = 0.05
+
+_LOG = get_logger("leakage.supervisor")
 
 
 class CampaignInterrupted(RuntimeError):
@@ -171,6 +181,27 @@ def _previous_path(path: str) -> str:
 def marker_path(path: str) -> str:
     """The resumable-interruption marker next to checkpoint ``path``."""
     return f"{path}.interrupted"
+
+
+def quarantine_checkpoint(path: str, reason: str) -> str:
+    """Move an unreadable checkpoint aside and warn; returns the new path.
+
+    The corrupt file is preserved as ``<path>.corrupt`` for post-mortems
+    (overwriting any previous quarantine of the same path) so the
+    campaign can restart cleanly without destroying the evidence.
+    """
+    target = f"{path}.corrupt"
+    try:
+        os.replace(path, target)
+    except OSError:  # pragma: no cover - concurrent removal
+        pass
+    msg = (
+        f"checkpoint {path!r} is unreadable ({reason}); quarantined to "
+        f"{target!r} and ignored"
+    )
+    _LOG.warning("%s", msg)
+    warnings.warn(msg, RuntimeWarning, stacklevel=3)
+    return target
 
 
 def save_checkpoint_supervised(
@@ -315,85 +346,96 @@ def load_checkpoint_supervised(
     return None
 
 
-# ----------------------------------------------------------------------
-# worker-side heartbeat plumbing
-# ----------------------------------------------------------------------
-# Heartbeat layout: 3 doubles per worker slot —
-#   [0] last beat (time.monotonic, comparable across processes on the
-#       platforms the pool runs on), [1] batch index, [2] busy flag.
-_HB = None
-_HB_SLOTS = 0
-_MY_SLOT = -1
+#: Deprecated alias, kept for one release: writes a v2 checkpoint.
+save_checkpoint = save_checkpoint_supervised
 
 
-def _init_supervised_worker(
-    source: TraceSource,
-    config: CampaignConfig,
-    transport: str,
-    shm_prefix: Optional[str],
-    hb,
-    slot_counter,
-    n_slots: int,
-    worker_setup,
-    obs_ctx: Optional[dict] = None,
+def load_checkpoint(
+    path: str, config: CampaignConfig, n_samples: int
+) -> Optional[tuple]:
+    """Deprecated alias of :func:`load_checkpoint_supervised`.
+
+    Returns ``(accumulator, next_batch)``, or ``None`` when no loadable
+    generation exists.
+    """
+    loaded = load_checkpoint_supervised(path, config, n_samples)
+    return None if loaded is None else (loaded.acc, loaded.next_batch)
+
+
+def validate_runner_args(
+    checkpoint_every: int = 1,
+    max_retries: int = 0,
+    worker_timeout_s: Optional[float] = None,
+    backoff_s: float = 0.0,
+    warmup_batch_s: Optional[float] = None,
 ) -> None:
-    """Pool initializer: campaign state + heartbeat slot + chaos hooks."""
-    global _HB, _HB_SLOTS, _MY_SLOT
-    # Forked workers inherit the parent's flush-and-exit handlers.  The
-    # inherited SIGTERM handler only records the signal, so a worker
-    # blocked on the task-queue lock went back to waiting instead of
-    # dying on Pool.terminate() and teardown hung: restore the default
-    # action.  SIGINT, which a terminal sends to the whole process
-    # group, is ignored — the parent alone flushes the checkpoint and
-    # tears the pool down.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _init_worker(source, config, transport, shm_prefix, obs_ctx)
-    _HB = hb
-    _HB_SLOTS = n_slots
-    with slot_counter.get_lock():
-        _MY_SLOT = slot_counter.value % n_slots
-        slot_counter.value += 1
-    if worker_setup is not None:
-        worker_setup()
+    """Reject runner parameter combinations that can never make progress.
+
+    A silent retry loop is worse than an immediate error: a
+    ``worker_timeout_s`` shorter than one batch's compute time kills
+    every attempt, burns ``max_retries`` pool rebuilds and then grinds
+    through the whole campaign serially — hours of wasted work that a
+    parameter check at minute zero would have prevented.
+
+    Args:
+        warmup_batch_s: Measured warm-up/first-batch wall time, when
+            the caller has one; used to catch timeouts no batch can
+            beat.
+
+    Raises:
+        ValueError: With an actionable message naming the parameter.
+    """
+    if checkpoint_every < 1:
+        raise ValueError(
+            f"checkpoint_every must be >= 1, got {checkpoint_every} (a "
+            "campaign that never checkpoints cannot resume)"
+        )
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if backoff_s < 0:
+        raise ValueError(f"backoff_s must be >= 0, got {backoff_s}")
+    if worker_timeout_s is not None and worker_timeout_s <= 0:
+        raise ValueError(
+            f"worker_timeout_s must be > 0 (or None to wait forever), got "
+            f"{worker_timeout_s}: every batch would be declared hung "
+            "before it could start"
+        )
+    if (
+        worker_timeout_s is not None
+        and warmup_batch_s is not None
+        and warmup_batch_s > 0
+        and worker_timeout_s < warmup_batch_s
+    ):
+        raise ValueError(
+            f"worker_timeout_s={worker_timeout_s:g} is shorter than the "
+            f"measured warm-up batch time of {warmup_batch_s:.3g}s: every "
+            "batch would be killed before finishing and the campaign can "
+            "never make progress.  Raise worker_timeout_s above the batch "
+            "time (with headroom), or shrink batch_size."
+        )
 
 
-def _supervised_worker_batch(item: Tuple[int, int]):
-    """One batch with heartbeat stamps around the acquisition."""
-    index, _ = item
-    if _HB is not None and _MY_SLOT >= 0:
-        base = 3 * _MY_SLOT
-        _HB[base] = time.monotonic()
-        _HB[base + 1] = float(index)
-        _HB[base + 2] = 1.0
-    out = _worker_batch(item)
-    if _HB is not None and _MY_SLOT >= 0:
-        base = 3 * _MY_SLOT
-        _HB[base] = time.monotonic()
-        _HB[base + 2] = 0.0
-    return out
-
-
+# ----------------------------------------------------------------------
+# parent-side watchdog
+# ----------------------------------------------------------------------
 class _HungPool(Exception):
     """Internal: the watchdog (or head-batch deadline) fired."""
-
-    def __init__(self, why: str):
-        super().__init__(why)
-        self.why = why
 
 
 def _await_result(
     result,
     deadline: Optional[float],
     hb,
-    n_slots: int,
     watchdog_timeout_s: Optional[float],
+    outstanding: Set[int],
 ):
-    """Wait for the head batch, watching heartbeats while we do.
+    """Wait for the head batch, watching the pool's heartbeats.
 
-    Raises :class:`_HungPool` when the head batch blows its deadline or
-    any busy worker's heartbeat goes stale — both are treated as a hang
-    and answered with a pool kill + batch reassignment.
+    Raises :class:`_HungPool` when the head batch blows its deadline, a
+    worker died while its batch is still ``outstanding`` (the pool never
+    returns a result for a task lost with its worker), or a busy
+    worker's heartbeat goes stale — each is answered with a pool kill
+    and batch reassignment.  The dead-worker check needs no timeout.
     """
     while True:
         try:
@@ -402,22 +444,25 @@ def _await_result(
             now = time.monotonic()
             if deadline is not None and now > deadline:
                 raise _HungPool("head batch exceeded worker_timeout_s") from exc
-            if hb is not None and watchdog_timeout_s is not None:
-                for slot in range(n_slots):
-                    base = 3 * slot
-                    busy = hb[base + 2] > 0.5
-                    beat = hb[base]
-                    if busy and beat > 0 and now - beat > watchdog_timeout_s:
-                        raise _HungPool(
-                            f"worker slot {slot} heartbeat stale for "
-                            f">{watchdog_timeout_s:g}s on batch "
-                            f"{int(hb[base + 1])}"
-                        ) from exc
+            alive = {p.pid for p in multiprocessing.active_children()}
+            for slot in range(len(hb) // _HB_FIELDS):
+                base = _HB_FIELDS * slot
+                beat, index, busy, pid = hb[base:base + _HB_FIELDS]
+                if pid and int(pid) not in alive and int(index) in outstanding:
+                    raise _HungPool(
+                        f"worker pid {int(pid)} died on batch {int(index)}"
+                    ) from exc
+                if (
+                    watchdog_timeout_s is not None
+                    and busy
+                    and now - beat > watchdog_timeout_s
+                ):
+                    raise _HungPool(
+                        f"worker slot {slot} heartbeat stale for "
+                        f">{watchdog_timeout_s:g}s on batch {int(index)}"
+                    ) from exc
 
 
-# ----------------------------------------------------------------------
-# the supervisor
-# ----------------------------------------------------------------------
 @dataclass
 class _BatchFailureLog:
     """Per-batch failure accounting behind poison-batch quarantine."""
@@ -443,83 +488,39 @@ class _BatchFailureLog:
         )
 
 
-def run_campaign_supervised(
+# ----------------------------------------------------------------------
+# the batch loop
+# ----------------------------------------------------------------------
+def _campaign_loop(
     source: TraceSource,
     config: CampaignConfig,
-    checkpoint_path: str,
-    n_workers: Optional[int] = None,
+    stats: CampaignStats,
+    checkpoint_path: Optional[str] = None,
+    n_workers: "Optional[int | str]" = None,
     checkpoint_every: int = 1,
-    max_retries: int = 2,
+    max_retries: int = 0,
     worker_timeout_s: Optional[float] = None,
     watchdog_timeout_s: Optional[float] = None,
-    backoff_s: float = 0.5,
+    backoff_s: float = 0.0,
     resume: bool = True,
     cleanup: bool = True,
-    quarantine_batches: bool = True,
-    handle_signals: bool = True,
+    quarantine_batches: bool = False,
+    handle_signals: bool = False,
     stop_after_batches: Optional[int] = None,
     chaos=None,
-) -> TvlaResult:
-    """Run a fixed-vs-random campaign under the hardened supervisor.
+) -> Generator[TTestAccumulator, None, TTestAccumulator]:
+    """The one campaign batch loop; every runner is a thin call into it.
 
-    Args:
-        source: Device under test.
-        config: Campaign parameters (checkpoint fingerprint).
-        checkpoint_path: Base path of the ``.npz`` checkpoint; the
-            supervisor also manages ``<path>.prev`` (previous
-            generation), ``<path>.corrupt`` (quarantine) and
-            ``<path>.interrupted`` (resume marker).
-        n_workers: Process count (``None`` = ``config.n_workers``).
-        checkpoint_every: Checkpoint cadence in merged batches.
-        max_retries: Failures tolerated per batch before quarantining
-            it (parallel, failures from >= 2 pool generations) or
-            degrading to serial execution.
-        worker_timeout_s: Hard deadline for the head batch.  ``None``
-            relies on the heartbeat watchdog alone.
-        watchdog_timeout_s: Heartbeat staleness threshold; a busy
-            worker silent for longer is declared hung and its pool
-            killed.  ``None`` defaults to ``worker_timeout_s``.
-        backoff_s: Exponential-backoff base between pool rebuilds.
-        resume: Load the newest good checkpoint generation (default).
-        cleanup: Delete checkpoint generations and the interruption
-            marker after a completed run.
-        quarantine_batches: Enable poison-batch quarantine.  ``False``
-            reproduces the resilient runner's abort-on-deterministic-
-            failure behaviour.
-        handle_signals: Install SIGINT/SIGTERM handlers (main thread
-            only) that flush a final checkpoint and raise
-            :class:`CampaignInterrupted`.  Pool workers never keep
-            them: each restores the default SIGTERM action and ignores
-            SIGINT, leaving shutdown to this process.
-        stop_after_batches: Merge at most this many batches in this
-            process, then checkpoint and raise
-            :class:`CampaignInterrupted` — time-sliced operation for
-            schedulers, and the chaos harness's injection point for
-            checkpoint-corruption scenarios.
-        chaos: Optional chaos policy (duck-typed, see
-            :mod:`repro.chaos`): ``worker_setup`` is invoked in every
-            pool worker, ``post_checkpoint(path, next_batch)`` after
-            every checkpoint write.
-
-    Returns:
-        The campaign's :class:`TvlaResult`, bitwise identical to an
-        undisturbed serial run unless batches were quarantined — in
-        which case ``result.stats.quarantined_batches`` and
-        ``result.stats.skipped_traces`` say exactly what is missing.
-
-    Raises:
-        CampaignInterrupted: Signal received or ``stop_after_batches``
-            reached; state is on disk and resumable.
-        CampaignBatchError: A batch failed beyond recovery policy.
-        ValueError: Invalid runner arguments, a timeout no batch can
-            beat, or a checkpoint of a different campaign.
+    Yields the merged accumulator after each batch (in batch order) and
+    returns it once the plan is done; fills ``stats`` as it goes.  The
+    defaults are :func:`~repro.leakage.acquisition.run_campaign`'s
+    fail-fast contract, and ``checkpoint_path=None`` turns
+    checkpointing off.  The arguments are those of
+    :func:`run_campaign_supervised`.  Closing the generator early
+    cancels the pool: the ``finally`` tears it down, scavenges orphaned
+    segments and flushes the progress of an interrupted run.
     """
-    validate_runner_args(
-        checkpoint_every=checkpoint_every,
-        max_retries=max_retries,
-        worker_timeout_s=worker_timeout_s,
-        backoff_s=backoff_s,
-    )
+    validate_runner_args(checkpoint_every, max_retries, worker_timeout_s, backoff_s)
     if watchdog_timeout_s is None:
         watchdog_timeout_s = worker_timeout_s
     if stop_after_batches is not None and stop_after_batches < 1:
@@ -533,35 +534,29 @@ def run_campaign_supervised(
     transport = resolve_transport(config.transport, source.n_samples)
     if segment_prefix() is None:
         set_segment_prefix(new_campaign_prefix())
-
-    stats = CampaignStats(
-        label=config.label,
-        n_traces=config.n_traces,
-        batch_size=config.batch_size,
-        requested_workers=requested,
-        cpu_count=os.cpu_count() or 1,
-    )
+    stats.requested_workers = requested
+    stats.n_workers = n_workers
     stats.oversubscribed = n_workers > stats.cpu_count
 
-    # Warm the source now (a no-op for sources without ``warmup()``):
-    # the pool build would do it anyway, and the measured time lets the
-    # progress validator reject a worker_timeout_s no batch can beat
-    # *before* hours of retry loops, not after.
-    warmup_s = _warm_source(source)
-    stats.warmup_seconds += warmup_s
-    validate_runner_args(
-        checkpoint_every=checkpoint_every,
-        max_retries=max_retries,
-        worker_timeout_s=worker_timeout_s,
-        backoff_s=backoff_s,
-        warmup_batch_s=warmup_s if warmup_s > 0 else None,
-    )
+    # Warm up only where it pays: before forking the first pool (the
+    # workers inherit the compiled schedules), or here, so a
+    # worker_timeout_s no batch can beat is rejected before hours of
+    # retry loops rather than after.  A serial campaign's first batch
+    # compiles what it needs; a warm-up would only repeat that work.
+    warmed = worker_timeout_s is not None
+    if warmed:
+        warmup_s = _warm_source(source)
+        stats.warmup_seconds += warmup_s
+        validate_runner_args(
+            worker_timeout_s=worker_timeout_s, warmup_batch_s=warmup_s or None
+        )
 
-    span_mark = _trace_mark()
+    tracer = get_tracer()
+    span_mark = tracer.mark() if tracer is not None else 0
     acc = TTestAccumulator(source.n_samples)
     start = 0
     quarantined: List[int] = []
-    if resume:
+    if checkpoint_path is not None and resume:
         with trace("campaign.checkpoint_load", path=checkpoint_path):
             loaded = load_checkpoint_supervised(
                 checkpoint_path, config, source.n_samples
@@ -584,8 +579,13 @@ def run_campaign_supervised(
 
     post_checkpoint = getattr(chaos, "post_checkpoint", None)
     worker_setup = getattr(chaos, "worker_setup", None)
+    dirty = False  # merged batches not yet checkpointed
 
     def flush(next_batch: int) -> None:
+        nonlocal dirty
+        dirty = False
+        if checkpoint_path is None:
+            return
         with trace("campaign.checkpoint", next_batch=next_batch):
             save_checkpoint_supervised(
                 checkpoint_path,
@@ -618,10 +618,8 @@ def run_campaign_supervised(
         # Flush only un-checkpointed progress: a redundant save would
         # rotate the generations once more for nothing (and, under
         # chaos, hide damage the last save already took).
-        nonlocal dirty
         if dirty or not os.path.exists(checkpoint_path):
             flush(next_batch)
-            dirty = False
         with open(marker_path(checkpoint_path), "w") as f:
             json.dump(
                 {
@@ -644,25 +642,60 @@ def run_campaign_supervised(
     pending: Dict[int, object] = {}
     submitted = i
     merged_this_run = 0
-    dirty = False
 
-    def drain_pending() -> None:
-        for result in pending.values():
-            try:
-                if result.ready():
-                    out = result.get(0)
-                    if not isinstance(out, _WorkerFailure):
-                        unpack_shard(adopt_shard(out[0]))
-            except Exception:
-                pass
+    def start_pool() -> None:
+        nonlocal pool, hb, pool_gen, warmed, submitted
+        # Capture the context *before* opening the setup span so worker
+        # spans root under the campaign span, not under pool setup.
+        obs_ctx = trace_context()
+        with trace("campaign.pool_setup", n_workers=n_workers):
+            ctx = _pool_context(config)
+            if ctx.get_start_method() == "fork" and not warmed:
+                stats.warmup_seconds += _warm_source(source)
+                warmed = True
+            # Twice as many slots as workers: a worker the pool starts
+            # to replace a dead one takes a fresh slot instead of
+            # overwriting the record the watchdog needs.
+            hb = ctx.Array("d", _HB_FIELDS * 2 * n_workers)
+            pool = ctx.Pool(
+                n_workers,
+                initializer=_init_worker,
+                initargs=(
+                    source,
+                    config,
+                    transport,
+                    segment_prefix(),
+                    obs_ctx,
+                    hb,
+                    ctx.Value("i", 0),
+                    worker_setup,
+                ),
+            )
+        pool_gen += 1
+        stats.transport = transport
+        stats.start_method = ctx.get_start_method()
+        submitted = i
 
     def teardown_pool() -> None:
-        nonlocal pool, pending, submitted, hb
+        nonlocal pool, hb, pending, submitted
         if pool is not None:
             with trace("campaign.pool_teardown"):
-                drain_pending()
+                # Release the segments of speculative batches that
+                # completed but will be resubmitted: their payloads are
+                # discarded, and a stranded segment would outlive the run.
+                for result in pending.values():
+                    try:
+                        if result.ready():
+                            out = result.get(0)
+                            if not isinstance(out, _WorkerFailure):
+                                unpack_shard(adopt_shard(out[0]))
+                    except Exception:
+                        pass
                 pool.terminate()
                 pool.join()
+            # With the pool dead, anything under the campaign prefix is
+            # a true orphan: in-flight shards of a cancelled run, or
+            # leftovers of killed workers.
             with trace("campaign.scavenge"):
                 stats.scavenged_segments += len(scavenge_orphans())
         pool = None
@@ -670,24 +703,50 @@ def run_campaign_supervised(
         pending = {}
         submitted = i
 
-    def on_batch_failure(index: int, origin: str, why: str) -> "Optional[str]":
-        """Shared retry/quarantine/degrade policy.  Returns an action."""
-        nonlocal attempts
+    def on_failure(index: int, exc: Exception) -> bool:
+        """The retry / quarantine / degrade policy for every failure.
+
+        ``exc`` is a :class:`_HungPool` (deadline, dead worker, stale
+        heartbeat), a :class:`CampaignBatchError` (the source raised:
+        deterministic), a :class:`TransportError` (the shard vanished
+        on its way to the parent) or anything else a broken pool
+        raises.  Returns True when the batch was quarantined.
+        """
+        nonlocal attempts, n_workers
+        origin = "serial" if pool is None else f"pool-{pool_gen}"
+        if pool is not None:
+            # Whatever went wrong, the next attempt gets a fresh pool:
+            # the failure may be environmental.
+            stats.pool_rebuilds += 1
+            if isinstance(exc, _HungPool):
+                stats.watchdog_kills += 1
+                obs_metrics.inc("supervisor.watchdog_kills")
+            teardown_pool()
+        deterministic = isinstance(exc, CampaignBatchError)
+        if deterministic and not quarantine_batches:
+            raise exc
         failures.record(index, origin)
         attempts += 1
         if quarantine_batches and failures.is_poison(index, max_retries):
             quarantined.append(index)
-            stats.quarantined_batches = quarantined
             stats.skipped_traces += plan[index][1]
             attempts = 0
-            return "quarantine"
-        if attempts > max_retries:
-            return "give_up"
-        time.sleep(backoff_s * (2 ** (attempts - 1)))
-        return "retry"
+            return True
+        if attempts <= max_retries:
+            time.sleep(backoff_s * (2 ** (attempts - 1)))
+        elif deterministic:
+            raise exc
+        elif isinstance(exc, TransportError):
+            raise CampaignBatchError(
+                index, config.label, f"transport: {exc}"
+            ) from exc
+        else:
+            n_workers = 1  # permanent serial degradation
+            attempts = 0
+        return False
 
     # The run span opens here and closes in the ``finally`` below, so
-    # pool teardown and the exit scavenge stay inside it — manual
+    # pool teardown and the scavenge stay inside it — manual
     # enter/exit keeps the recovery control flow un-indented.
     run_span = trace(
         "campaign.run", label=config.label, n_traces=config.n_traces
@@ -709,80 +768,42 @@ def run_campaign_supervised(
                 raise interrupt("stop_after_batches", i)
 
             index, n = plan[i]
-            if n_workers <= 1:
-                stats.start_method = "serial"
-                stats.transport = "none"
-                try:
-                    shard, record = _timed_batch(source, config, index, n)
-                except Exception as exc:
-                    action = on_batch_failure(
-                        index, "serial", f"{type(exc).__name__}: {exc}"
-                    )
-                    if action == "quarantine":
-                        i += 1
-                        continue
-                    if action == "give_up":
+            if n_workers > 1:
+                if pool is None:
+                    start_pool()
+                # Keep a bounded submission window ahead of the merge
+                # cursor: enough to saturate the pool, small enough
+                # that a pool death loses little speculative work.
+                while submitted < len(plan) and submitted - i < 2 * n_workers:
+                    if submitted not in quarantined:
+                        pending[submitted] = pool.apply_async(
+                            _worker_batch, (plan[submitted],)
+                        )
+                    submitted += 1
+            try:
+                if n_workers <= 1:
+                    stats.start_method = "serial"
+                    stats.transport = "none"
+                    try:
+                        shard, record = _timed_batch(source, config, index, n)
+                    except Exception as exc:
                         raise CampaignBatchError(
                             index, config.label, f"{type(exc).__name__}: {exc}"
                         ) from exc
-                    continue
-            else:
-                if pool is None:
-                    # Capture the context *before* opening the setup
-                    # span so worker spans root under the campaign
-                    # span, not under pool setup.
-                    obs_ctx = trace_context()
-                    with trace("campaign.pool_setup", n_workers=n_workers):
-                        ctx = _pool_context(config)
-                        hb = ctx.Array("d", 3 * n_workers)
-                        slot_counter = ctx.Value("i", 0)
-                        if ctx.get_start_method() == "fork":
-                            stats.warmup_seconds += _warm_source(source)
-                        pool = ctx.Pool(
-                            n_workers,
-                            initializer=_init_supervised_worker,
-                            initargs=(
-                                source,
-                                config,
-                                transport,
-                                segment_prefix(),
-                                hb,
-                                slot_counter,
-                                n_workers,
-                                worker_setup,
-                                obs_ctx,
-                            ),
-                        )
-                    pool_gen += 1
-                    stats.n_workers = n_workers
-                    stats.transport = transport
-                    stats.start_method = ctx.get_start_method()
-                    pending = {}
-                    submitted = i
-                while submitted < len(plan) and submitted - i < 2 * n_workers:
-                    if submitted in quarantined:
-                        submitted += 1
-                        continue
-                    pending[submitted] = pool.apply_async(
-                        _supervised_worker_batch, (plan[submitted],)
+                else:
+                    outstanding = set(pending)
+                    deadline = (
+                        time.monotonic() + worker_timeout_s
+                        if worker_timeout_s is not None
+                        else None
                     )
-                    submitted += 1
-                deadline = (
-                    time.monotonic() + worker_timeout_s
-                    if worker_timeout_s is not None
-                    else None
-                )
-                try:
-                    out = pending.pop(i)
-                except KeyError:  # pragma: no cover - defensive
-                    continue
-                try:
                     # The await is a real phase of the parent — blocked
                     # on workers — and spans it so the merged timeline
                     # accounts for the wait, not just the work.
                     with trace("campaign.await", index=index):
                         out = _await_result(
-                            out, deadline, hb, n_workers, watchdog_timeout_s
+                            pending.pop(i), deadline, hb,
+                            watchdog_timeout_s, outstanding,
                         )
                     if isinstance(out, _WorkerFailure):
                         raise CampaignBatchError(
@@ -790,62 +811,10 @@ def run_campaign_supervised(
                         )
                     payload, record = out
                     shard = unpack_shard(adopt_shard(payload))
-                except _HungPool as hung:
-                    stats.watchdog_kills += 1
-                    obs_metrics.inc("supervisor.watchdog_kills")
-                    stats.pool_rebuilds += 1
-                    teardown_pool()
-                    action = on_batch_failure(index, f"pool-{pool_gen}", hung.why)
-                    if action == "quarantine":
-                        i += 1
-                    elif action == "give_up":
-                        n_workers = 1  # permanent serial degradation
-                        attempts = 0
-                    continue
-                except CampaignBatchError as exc:
-                    # Deterministic in-worker failure: the resilient
-                    # runner aborts here; the supervisor gives the
-                    # batch max_retries more chances (fresh pool — the
-                    # failure may be environmental) before quarantining
-                    # or giving up.
-                    stats.pool_rebuilds += 1
-                    teardown_pool()
-                    if not quarantine_batches:
-                        raise
-                    action = on_batch_failure(index, f"pool-{pool_gen}", str(exc))
-                    if action == "quarantine":
-                        i += 1
-                    elif action == "give_up":
-                        raise
-                    continue
-                except TransportError as exc:
-                    # The shard vanished between worker and parent —
-                    # re-simulate the batch; the moments are recomputable.
-                    stats.pool_rebuilds += 1
-                    teardown_pool()
-                    action = on_batch_failure(index, f"pool-{pool_gen}", str(exc))
-                    if action == "quarantine":
-                        i += 1
-                    elif action == "give_up":
-                        raise CampaignBatchError(
-                            index, config.label, f"transport: {exc}"
-                        ) from exc
-                    continue
-                except Exception as exc:
-                    # Broken pool, lost worker, pickling failure: all
-                    # retryable by rebuild, exactly as in the resilient
-                    # runner.
-                    stats.pool_rebuilds += 1
-                    teardown_pool()
-                    action = on_batch_failure(
-                        index, f"pool-{pool_gen}", f"{type(exc).__name__}: {exc}"
-                    )
-                    if action == "quarantine":
-                        i += 1
-                    elif action == "give_up":
-                        n_workers = 1
-                        attempts = 0
-                    continue
+            except Exception as exc:
+                if on_failure(index, exc):
+                    i += 1
+                continue
             with trace("campaign.merge"):
                 acc.merge(shard)
             _absorb_record(record)
@@ -856,7 +825,7 @@ def run_campaign_supervised(
             dirty = True
             if (i - start) % checkpoint_every == 0:
                 flush(i)
-                dirty = False
+            yield acc
     finally:
         for signum, old in installed:
             try:
@@ -864,24 +833,166 @@ def run_campaign_supervised(
             except (ValueError, OSError):  # pragma: no cover
                 pass
         teardown_pool()
-        with trace("campaign.scavenge"):
-            stats.scavenged_segments += len(scavenge_orphans())
         if dirty and i < len(plan):
+            # Interrupted (exception, signal, closed early): persist the
+            # completed prefix so the restart costs at most one batch.
             flush(i)
         run_span.__exit__(None, None, None)
+        stats.wall_seconds = time.perf_counter() - t_start
+        tracer = get_tracer()
+        if tracer is not None:  # traced run: attach the phase breakdown
+            stats.phases = campaign_phases(tracer.spans(since=span_mark))
 
-    stats.wall_seconds = time.perf_counter() - t_start
-    if tracing_enabled():
-        _attach_phases(stats, span_mark)
-    if cleanup:
-        for leftover in (
-            checkpoint_path,
-            _previous_path(checkpoint_path),
-            marker_path(checkpoint_path),
-            f"{checkpoint_path}.tmp",
-        ):
-            if os.path.exists(leftover):
-                os.remove(leftover)
-    else:
-        flush(i)
+    if checkpoint_path is not None:
+        if cleanup:
+            for leftover in (
+                checkpoint_path,
+                _previous_path(checkpoint_path),
+                marker_path(checkpoint_path),
+                f"{checkpoint_path}.tmp",
+            ):
+                if os.path.exists(leftover):
+                    os.remove(leftover)
+        else:
+            flush(i)
+    return acc
+
+
+def _drain(loop: Generator[TTestAccumulator, None, TTestAccumulator]):
+    """Run a campaign loop to its end; returns the final accumulator."""
+    while True:
+        try:
+            next(loop)
+        except StopIteration as done:
+            return done.value
+
+
+# ----------------------------------------------------------------------
+# the checkpointed runners
+# ----------------------------------------------------------------------
+def run_campaign_supervised(
+    source: TraceSource,
+    config: CampaignConfig,
+    checkpoint_path: str,
+    n_workers: Optional[int] = None,
+    checkpoint_every: int = 1,
+    max_retries: int = 2,
+    worker_timeout_s: Optional[float] = None,
+    watchdog_timeout_s: Optional[float] = None,
+    backoff_s: float = 0.5,
+    resume: bool = True,
+    cleanup: bool = True,
+    quarantine_batches: bool = True,
+    handle_signals: bool = True,
+    stop_after_batches: Optional[int] = None,
+    chaos=None,
+) -> TvlaResult:
+    """Run a fixed-vs-random campaign under the hardened supervisor.
+
+    Args:
+        source: Device under test.
+        config: Campaign parameters (checkpoint fingerprint).
+        checkpoint_path: Base path of the ``.npz`` checkpoint; the
+            supervisor also manages ``<path>.prev`` (previous
+            generation), ``<path>.corrupt`` (quarantine) and
+            ``<path>.interrupted`` (resume marker).
+        n_workers: Process count (``None`` = ``config.n_workers``).
+        checkpoint_every: Checkpoint cadence in merged batches.
+        max_retries: Failures tolerated per batch before quarantining
+            it (parallel, failures from >= 2 pool generations) or
+            degrading to serial execution.
+        worker_timeout_s: Hard deadline for the head batch.  ``None``
+            relies on the heartbeat watchdog alone; a worker that dies
+            with a batch pending is detected without any timeout.  A
+            timeout makes the campaign warm the source up front and
+            reject a value shorter than that warm-up.
+        watchdog_timeout_s: Heartbeat staleness threshold; a busy
+            worker silent for longer is declared hung and its pool
+            killed.  ``None`` defaults to ``worker_timeout_s``.
+        backoff_s: Exponential-backoff base between pool rebuilds.
+        resume: Load the newest good checkpoint generation (default).
+        cleanup: Delete checkpoint generations and the interruption
+            marker after a completed run.
+        quarantine_batches: Enable poison-batch quarantine.  ``False``
+            aborts on the first deterministic batch failure (the source
+            raised), as :func:`run_campaign_resilient` does.
+        handle_signals: Install SIGINT/SIGTERM handlers (main thread
+            only) that flush a final checkpoint and raise
+            :class:`CampaignInterrupted`.  Pool workers never keep
+            them: each restores the default SIGTERM action and ignores
+            SIGINT, leaving shutdown to this process.
+        stop_after_batches: Merge at most this many batches in this
+            process, then checkpoint and raise
+            :class:`CampaignInterrupted` — time-sliced operation for
+            schedulers, and the chaos harness's injection point for
+            checkpoint-corruption scenarios.
+        chaos: Optional chaos policy (duck-typed, see
+            :mod:`repro.chaos`): ``worker_setup`` is invoked in every
+            pool worker, ``post_checkpoint(path, next_batch)`` after
+            every checkpoint write.
+
+    Returns:
+        The campaign's :class:`TvlaResult`, bitwise identical to an
+        undisturbed serial run unless batches were quarantined — in
+        which case ``result.stats.quarantined_batches`` and
+        ``result.stats.skipped_traces`` say exactly what is missing.
+
+    Raises:
+        CampaignInterrupted: Signal received or ``stop_after_batches``
+            reached; state is on disk and resumable.
+        CampaignBatchError: A batch failed beyond recovery policy.
+        ValueError: Invalid runner arguments, a timeout no batch can
+            beat, or a checkpoint of a different campaign.
+    """
+    stats = _begin_stats(config)
+    acc = _drain(
+        _campaign_loop(
+            source,
+            config,
+            stats,
+            checkpoint_path=checkpoint_path,
+            n_workers=n_workers,
+            checkpoint_every=checkpoint_every,
+            max_retries=max_retries,
+            worker_timeout_s=worker_timeout_s,
+            watchdog_timeout_s=watchdog_timeout_s,
+            backoff_s=backoff_s,
+            resume=resume,
+            cleanup=cleanup,
+            quarantine_batches=quarantine_batches,
+            handle_signals=handle_signals,
+            stop_after_batches=stop_after_batches,
+            chaos=chaos,
+        )
+    )
     return acc.result(label=config.label, stats=stats)
+
+
+def run_campaign_resilient(
+    source: TraceSource,
+    config: CampaignConfig,
+    checkpoint_path: str,
+    n_workers: Optional[int] = None,
+    checkpoint_every: int = 1,
+    max_retries: int = 2,
+    worker_timeout_s: Optional[float] = None,
+    backoff_s: float = 0.5,
+    resume: bool = True,
+    cleanup: bool = True,
+) -> TvlaResult:
+    """Deprecated alias of :func:`run_campaign_supervised`, kept for one
+    release: no poison-batch quarantine, no signal handlers."""
+    return run_campaign_supervised(
+        source,
+        config,
+        checkpoint_path,
+        n_workers=n_workers,
+        checkpoint_every=checkpoint_every,
+        max_retries=max_retries,
+        worker_timeout_s=worker_timeout_s,
+        backoff_s=backoff_s,
+        resume=resume,
+        cleanup=cleanup,
+        quarantine_batches=False,
+        handle_signals=False,
+    )

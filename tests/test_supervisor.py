@@ -20,7 +20,6 @@ from repro.leakage.acquisition import (
     CampaignConfig,
     run_campaign,
 )
-from repro.leakage.resilient import save_checkpoint, validate_runner_args
 from repro.leakage.supervisor import (
     SUPERVISOR_CHECKPOINT_VERSION,
     CampaignInterrupted,
@@ -29,6 +28,7 @@ from repro.leakage.supervisor import (
     marker_path,
     run_campaign_supervised,
     save_checkpoint_supervised,
+    validate_runner_args,
 )
 from repro.leakage.transport import scavenge_orphans
 from repro.leakage.tvla import TTestAccumulator
@@ -154,7 +154,20 @@ def test_v1_checkpoint_quarantined_not_crashed(tmp_path):
     """A pre-supervisor (v1) checkpoint is set aside, not a crash."""
     cfg = CampaignConfig(**CFG, label="v1")
     path = str(tmp_path / "ckpt.npz")
-    save_checkpoint(path, _acc(), cfg, next_batch=2)
+    # The v1 layout: accumulator state and fingerprint, no CRC and no
+    # recovery counters.
+    with open(path, "wb") as f:
+        np.savez(
+            f,
+            **_acc().state(),
+            version=np.asarray(1, dtype=np.int64),
+            next_batch=np.asarray(2, dtype=np.int64),
+            n_traces=np.asarray(cfg.n_traces, dtype=np.int64),
+            batch_size=np.asarray(cfg.batch_size, dtype=np.int64),
+            noise_sigma=np.asarray(cfg.noise_sigma, dtype=np.float64),
+            seed=np.asarray(cfg.seed, dtype=np.int64),
+            label=np.asarray(cfg.label),
+        )
     with pytest.warns(RuntimeWarning):
         assert load_checkpoint_supervised(path, cfg, 16) is None
     assert os.path.exists(path + ".corrupt")
