@@ -103,8 +103,8 @@ def test_bench_campaign_packed_vs_boolean():
     """End-to-end packed campaign on the masked-DES engine: >= 1.2x.
 
     Serial campaign, ``pack_traces=False`` vs ``True``, bitwise-equal
-    t-statistics required.  Since the packed-domain power accumulator
-    (counter planes, no per-event unpacking) the speedup is *gated*,
+    t-statistics required.  Both engines record through one sink call
+    per settle (no per-event recording), and the speedup is *gated*,
     not just recorded: both legs run in this one process, so the
     comparison is valid even at ``cpu_count=1``.  End-to-end time still
     includes TVLA accumulation and noise generation, which packing does
@@ -127,19 +127,18 @@ def test_bench_campaign_packed_vs_boolean():
         source_label="DESTraceSource (masked DES netlist, ff variant)",
     )
     RESULTS["campaign_packed"] = campaign
-    planes = campaign["counter_planes"]
+    sink = campaign["sink"]
     print(
         f"\ncampaign_packed: boolean {campaign['boolean_s']:.2f} s  "
         f"packed {campaign['packed_s']:.2f} s  "
         f"speedup {campaign['speedup']:.2f}x  "
         f"bitwise={campaign['bitwise_equal']}  "
-        f"max_planes={planes['max_planes']}  "
-        f"overflow_bins={planes['overflow_bins']}"
+        f"sink calls={sink['calls']}  rows={sink['rows']}"
     )
     assert campaign["bitwise_equal"]
-    assert planes["accumulators"] > 0, (
-        "packed campaign never reached the counter-plane accumulator — "
-        "the replay loop fell back to the per-event unpack leg"
+    assert 0 < sink["calls"] < sink["rows"], (
+        "the campaign's settles never reached the recording sink, or it "
+        "was fed one row per call"
     )
     assert campaign["speedup"] >= 1.2, (
         f"packed campaign speedup {campaign['speedup']:.2f}x < 1.2x — "
@@ -247,10 +246,14 @@ def test_bench_obs_overhead():
         n_traces=512, batch_size=512, noise_sigma=1.0, seed=0,
         pack_traces=True, label="bench.obs",
     )
+    # The campaign takes well under a second since the levelised
+    # replay; five runs per leg block keep each round's ratio above the
+    # host's run-to-run noise (one run per block swung it by +-6%).
     obs = bench.obs_overhead_comparison(
         source,
         cfg,
         source_label="DESTraceSource (masked DES netlist, ff variant)",
+        reps=5,
     )
     RESULTS["obs"] = obs
     print(

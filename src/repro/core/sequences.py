@@ -123,16 +123,13 @@ class SequenceSource:
         y0, y1 = share(y, rng)
         values = {"x0": x0, "x1": x1, "y0": y0, "y1": y1}
 
-        # Recorder first, so pack_traces="auto" resolves against its
-        # packed-accumulation capability (no coupling here, but the
-        # ordering keeps every source on the same contract).
         rec = PowerRecorder(
             n, self.total_time_ps, bin_ps=self.bin_ps,
             weights=self._wire_weights(),
         )
         sim = VectorSimulator(
             self.circuit, n,
-            pack_traces=resolve_pack_traces(self.pack_traces, n, rec),
+            pack_traces=resolve_pack_traces(self.pack_traces, n),
         )
         # settle the reset state (inputs 0) without recording power
         sim.evaluate_combinational(

@@ -379,10 +379,6 @@ class MaskedDESNetlistEngine:
         if pack_traces is None:
             pack_traces = self.pack_traces
 
-        # The recorder is built *before* the harness so ``"auto"`` can
-        # resolve against it: a coupling recorder has no packed
-        # accumulation path, and packing such a batch would only buy
-        # the slow per-event unpack leg (the 0.98x regression).
         recorder = None
         if record:
             coupling = None
@@ -409,7 +405,7 @@ class MaskedDESNetlistEngine:
             n,
             self.period_ps,
             check_timing=False,
-            pack_traces=resolve_pack_traces(pack_traces, n, recorder),
+            pack_traces=resolve_pack_traces(pack_traces, n),
         )
         rand0 = self._round_rand(prng, n)
         l0, r0, cd1 = self._initial_state(pt_s, key_s)

@@ -17,7 +17,7 @@ plus ``fault_sweep`` (eval.fault_sweep): the delay-variation
 margin-erosion sweep over the fault-injection subsystem — not a paper
 figure, but the robustness question behind Sec. VII-B; ``bench``
 (eval.bench): the simulator-throughput benchmark that writes
-``BENCH_simulator.json`` (schema ``bench_simulator/v5``); and
+``BENCH_simulator.json`` (schema ``bench_simulator/v6``); and
 ``compile_costs`` (eval.compile_costs): the masking compiler's
 acceptance sheet — certify all ten paper S-boxes and compare compiled
 vs hand-built DES cost.

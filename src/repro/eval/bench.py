@@ -1,4 +1,4 @@
-"""Simulator throughput benchmark — ``BENCH_simulator.json`` schema v5.
+"""Simulator throughput benchmark — ``BENCH_simulator.json`` schema v6.
 
 Four head-to-head comparisons over the simulation substrate:
 
@@ -16,8 +16,8 @@ Four head-to-head comparisons over the simulation substrate:
 * **campaign_packed** — the same source run serially with
   ``pack_traces=False`` vs ``pack_traces=True`` on a lane-aligned
   config (bitwise-equal t-statistics required; end-to-end engine
-  speedup is the number, and since v4 the packed leg accumulates power
-  in the counter-plane domain instead of unpacking per event).
+  speedup is the number; both legs record power through one sink call
+  per settle).
 
 Schema history
 --------------
@@ -56,6 +56,11 @@ the span-tracing overhead ratio — and gives every campaign leg a
 descriptive label (``bench.campaign.serial``,
 ``bench.campaign_packed.boolean``, ...) instead of the empty/shared
 labels the v4 stats embedded.
+
+``v6`` follows the levelised replay: every settle hands its toggles to
+one recording sink in one call, so ``campaign_packed`` reports the
+sink's counters (``sink``: ``calls`` — one per recorded settle — and
+``rows`` binned) in place of the deleted ``counter_planes``.
 
 The pytest benches under ``benchmarks/`` call the same comparison
 functions with CI budgets and write the same JSON; ``python -m repro
@@ -102,7 +107,7 @@ __all__ = [
     "run",
 ]
 
-SCHEMA = "bench_simulator/v5"
+SCHEMA = "bench_simulator/v6"
 
 
 def _cpu_count() -> int:
@@ -192,9 +197,10 @@ def alternating_blocks(
 def _settle_workload(n_instances: int, n_traces: int):
     """The shared secAND2-bank settle workload of both settle sections.
 
-    Returns ``(make, n_traces)`` where ``make(compiled, packed)`` builds
-    a fresh ``(sim, rec, prep, run_once)`` quadruple over the same
-    circuit, events and weights.
+    Returns ``make``: ``make(compiled, packed)`` builds a fresh
+    ``(sim, power, prep, run_once)`` quadruple over the same circuit,
+    events and weights; ``prep`` resets the wire state and starts a new
+    recorder, and ``power()`` reads the latest run's power matrix.
     """
     rng = np.random.default_rng(0)
     c = build_secand2(n_instances=n_instances)
@@ -213,17 +219,19 @@ def _settle_workload(n_instances: int, n_traces: int):
         sim = VectorSimulator(
             c, n, compile_schedules=compiled, pack_traces=packed
         )
-        rec = PowerRecorder(n, 5000, bin_ps=250, weights=sim.weights)
+        current = {}
 
         def prep():
             sim.reset_state(False)
             sim.evaluate_combinational(inputs)
-            rec.power[:] = 0.0
+            current["rec"] = PowerRecorder(
+                n, 5000, bin_ps=250, weights=sim.weights
+            )
 
         def run_once():
-            sim.settle(events, recorder=rec)
+            sim.settle(events, recorder=current["rec"])
 
-        return sim, rec, prep, run_once
+        return sim, lambda: current["rec"].power, prep, run_once
 
     return make
 
@@ -239,8 +247,8 @@ def settle_comparison(
     the legs cancels.
     """
     make = _settle_workload(n_instances, n_traces)
-    sim_i, rec_i, prep_i, run_i = make(False)
-    sim_c, rec_c, prep_c, run_c = make(True)
+    sim_i, power_i, prep_i, run_i = make(False)
+    sim_c, power_c, prep_c, run_c = make(True)
     t_interp, t_compiled, speedup = alternating_blocks(
         run_i, prep_i, run_c, prep_c, reps
     )
@@ -249,7 +257,7 @@ def settle_comparison(
     prep_c()
     run_c()
     assert np.array_equal(sim_i.values, sim_c.values)
-    assert np.array_equal(rec_i.power, rec_c.power)
+    assert np.array_equal(power_i(), power_c())
     return {
         "circuit": "secAND2 bank",
         "n_instances": n_instances,
@@ -267,7 +275,7 @@ def settle_packed_comparison(
 
     Both engines run the compiled path with a :class:`PowerRecorder`,
     so the measured difference is purely the ``uint64``-lane state
-    representation (plus its lazy unpacking at recording points).
+    representation (the power sink takes either layout).
     Raises AssertionError unless final wire values and power samples
     are bitwise equal.  The defaults are sized so the byte-traffic
     advantage dominates per-call numpy overhead (packing small batches
@@ -276,8 +284,8 @@ def settle_packed_comparison(
     cancels.
     """
     make = _settle_workload(n_instances, n_traces)
-    sim_b, rec_b, prep_b, run_b = make(True, packed=False)
-    sim_p, rec_p, prep_p, run_p = make(True, packed=True)
+    sim_b, power_b, prep_b, run_b = make(True, packed=False)
+    sim_p, power_p, prep_p, run_p = make(True, packed=True)
     t_bool, t_packed, speedup = alternating_blocks(
         run_b, prep_b, run_p, prep_p, reps
     )
@@ -287,7 +295,7 @@ def settle_packed_comparison(
     run_p()
     for w in range(sim_b.values.shape[0]):
         assert np.array_equal(sim_b.wire_values(w), sim_p.wire_values(w))
-    assert np.array_equal(rec_b.power, rec_p.power)
+    assert np.array_equal(power_b(), power_p())
     return {
         "circuit": "secAND2 bank",
         "n_instances": n_instances,
@@ -368,11 +376,9 @@ def campaign_packed_comparison(
     leg) — single-shot campaign timing on a shared 1-CPU runner
     drifts by 10-15%, which is exactly the margin the >= 1.2x gate
     needs; the published ``speedup`` is the median per-round ratio, so
-    host-speed drift between the legs cancels.  The v4 section embeds
-    the packed leg's counter-plane telemetry (the boolean leg creates
-    no accumulators, so the process-wide counters are reset up front
-    and read once at the end; repeated packed runs accumulate into the
-    same counters).
+    host-speed drift between the legs cancels.  The section embeds the
+    recording sink's counters over both legs and every repetition (the
+    process-wide counters are reset up front and read once at the end).
     """
     reset_packed_accumulator_counters()
     base = config.label or "bench.campaign_packed"
@@ -392,7 +398,7 @@ def campaign_packed_comparison(
     t_bool, t_packed, ratio = alternating_blocks(
         run_bool, _noop, run_pack, _noop, reps, rounds
     )
-    counter_planes = packed_accumulator_counters()
+    sink = packed_accumulator_counters()
     boolean = latest["boolean"]
     packed = latest["packed"]
     bitwise = bool(
@@ -410,7 +416,7 @@ def campaign_packed_comparison(
         "packed_s": t_packed,
         "speedup": ratio,
         "bitwise_equal": bitwise,
-        "counter_planes": counter_planes,
+        "sink": sink,
         "boolean_stats": boolean.stats.as_dict(),
         "packed_stats": packed.stats.as_dict(),
     }
@@ -490,7 +496,7 @@ def obs_overhead_comparison(
 
 
 def assemble_payload(**sections) -> Dict[str, object]:
-    """Wrap comparison sections in the v5 envelope (host + validity)."""
+    """Wrap comparison sections in the v6 envelope (host + validity)."""
     cpu = _cpu_count()
     return {
         "schema": SCHEMA,
@@ -590,13 +596,10 @@ class BenchResult:
                 f"speedup {cp['speedup']:.2f}x   "
                 f"bitwise={cp['bitwise_equal']}"
             )
-            planes = cp.get("counter_planes")
-            if planes:
+            sink = cp.get("sink")
+            if sink:
                 lines.append(
-                    f"  counter planes: {planes['accumulators']} "
-                    f"accumulators, {planes['flushes']} flushes, "
-                    f"max depth {planes['max_planes']} bits, "
-                    f"{planes['overflow_bins']} bins past 2^24"
+                    f"  sink: {sink['calls']} calls, {sink['rows']} rows binned"
                 )
         ob = p.get("obs")
         if ob:
@@ -619,7 +622,7 @@ def run(
     write: bool = True,
     json_path: "Optional[Path]" = None,
 ) -> BenchResult:
-    """Run all comparisons and (by default) write the v5 JSON.
+    """Run all comparisons and (by default) write the v6 JSON.
 
     ``quick`` shrinks the budgets to CI-smoke size and swaps the
     campaign workload from the masked-DES netlist engine to the

@@ -286,7 +286,6 @@ def suggest_batch_size(
     n_traces: int,
     n_workers: int,
     pack_traces: "bool | str" = False,
-    recorder=None,
 ) -> int:
     """Batch-size heuristic for a campaign of ``n_traces``.
 
@@ -310,21 +309,12 @@ def suggest_batch_size(
     it.  The campaign's *final* batch may still be ragged when
     ``n_traces`` itself is not lane-aligned — that is the padded case
     the equivalence tests pin down.
-
-    ``recorder`` (optional) joins the ``"auto"`` resolution: when the
-    recorder the batches will feed has no packed accumulation path
-    (coupling partners, transient capture — see
-    :func:`repro.sim.bitpack.recorder_accepts_packed`), ``"auto"``
-    declines to pack and the lane rounding is skipped, exactly like the
-    engines themselves will decline at batch time.
     """
     target = n_traces // max(1, 4 * n_workers)
     batch = max(
         1, min(_MAX_AUTO_BATCH, max(_MIN_AUTO_BATCH, target), n_traces)
     )
-    if batch >= LANE_BITS and resolve_pack_traces(
-        pack_traces, batch, recorder
-    ):
+    if batch >= LANE_BITS and resolve_pack_traces(pack_traces, batch):
         batch -= batch % LANE_BITS
     return batch
 

@@ -33,60 +33,23 @@ Popcount
 :func:`popcount` uses :func:`numpy.bitwise_count` where available
 (numpy >= 2.0) and falls back to an 8-bit lookup table over the
 ``uint8`` view on older numpy — same values, a few times slower.
-
-Counter planes
---------------
-Power recording used to be the one place the packed engine had to
-unpack: every toggled lane became a boolean row so float32 energy could
-be accumulated per event.  :func:`counter_add` / :func:`counter_unpack`
-keep that accumulation in the packed domain instead.  A per-bin counter
-is a list of *bit-planes* — plane ``j`` holds bit ``j`` of every
-trace's running count, one trace per lane bit — and adding a toggled
-mask is a ripple-carry add::
-
-    planes[j] ^= carry;  carry = old_plane[j] & carry;  j += 1
-
-Planes are Python arbitrary-precision ints (``lanes_to_int``), not
-numpy arrays: at typical lane counts (a handful of ``uint64`` words)
-CPython's big-int ``^``/``&`` run in well under a microsecond, with
-none of the per-call overhead a numpy kernel pays on tiny arrays, and a
-carry that dies after the first few planes costs amortised O(1) ops.
-Integer weights ``1 + fanout`` decompose in binary: a weight-``w``
-toggle adds the mask once per set bit of ``w``, shifted to that plane.
-Counts are unpacked to integers exactly once per batch
-(:func:`counter_unpack`) and cast to float32 — bitwise-identical to the
-boolean engine's sequential adds while every per-bin count stays below
-``2**COUNTER_EXACT_BITS`` (all addends are non-negative integers, and
-integer-valued float32 sums below 2^24 are exact in any order).
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-
-from ..obs.log import get_logger
-
-_LOG = get_logger("sim.bitpack")
 
 __all__ = [
     "LANE_BITS",
     "HAVE_BITWISE_COUNT",
-    "COUNTER_EXACT_BITS",
     "n_lanes",
     "pack_bool",
     "pack_scalar",
     "unpack_u8",
     "unpack_bool",
     "popcount",
-    "lanes_to_int",
-    "counter_add",
-    "counter_unpack",
-    "recorder_accepts_packed",
     "resolve_pack_traces",
     "AutoPackFallbackWarning",
-    "reset_auto_pack_warning",
 ]
 
 #: Traces per packed lane (one ``uint64`` word).
@@ -159,76 +122,23 @@ def unpack_bool(packed: np.ndarray, count: int) -> np.ndarray:
 
 
 class AutoPackFallbackWarning(RuntimeWarning):
-    """``pack_traces="auto"`` declined to pack because the attached
-    recorder has no packed-domain accumulation path (coupling partners,
-    transient capture, or a custom recorder without
-    ``accepts_packed``) — the batch runs on the boolean engine instead
-    of silently landing in the slow per-event unpack leg."""
+    """Never raised: every recorder takes packed lanes, so
+    ``pack_traces="auto"`` no longer falls back to the boolean engine.
+    Kept importable because the repository benchmark
+    (``perfbench/workloads.py``) still filters it."""
 
 
-#: One-shot latch for :class:`AutoPackFallbackWarning` (warn once per
-#: process, not once per batch — campaigns resolve per batch).
-_auto_fallback_warned = False
-
-
-def reset_auto_pack_warning() -> None:
-    """Re-arm the one-shot :class:`AutoPackFallbackWarning` (tests)."""
-    global _auto_fallback_warned
-    _auto_fallback_warned = False
-
-
-def recorder_accepts_packed(recorder) -> bool:
-    """Whether a recorder can consume packed lanes without per-event
-    unpacking.
-
-    ``None`` and null recorders trivially qualify (nothing to record).
-    Recorders that demand the exact boolean transient stream
-    (``requires_transients``) never do.  Everything else must advertise
-    a truthy ``accepts_packed`` — :class:`repro.sim.power.PowerRecorder`
-    does so exactly when it has no coupling partners and its weights
-    are small non-negative integers (see ``COUNTER_EXACT_BITS``).
-    """
-    if recorder is None or getattr(recorder, "is_null", False):
-        return True
-    if getattr(recorder, "requires_transients", False):
-        return False
-    return bool(getattr(recorder, "accepts_packed", False))
-
-
-def resolve_pack_traces(
-    pack_traces: "bool | str", n_traces: int, recorder=None
-) -> bool:
-    """Resolve a ``pack_traces`` request against a batch size (and,
-    optionally, the recorder that will observe the batch).
+def resolve_pack_traces(pack_traces: "bool | str", n_traces: int) -> bool:
+    """Resolve a ``pack_traces`` request against a batch size.
 
     ``True`` / ``False`` are honoured verbatim (packing tiny batches is
-    allowed — a single ragged lane — just rarely worth it; an explicit
-    ``True`` with an unpackable recorder runs the per-event unpack leg,
-    still bitwise-correct).  ``"auto"`` packs once a batch fills at
-    least one full lane (``n_traces >= 64``) **and** the recorder — if
-    one is given — accepts packed lanes; otherwise the boolean engine
-    is both smaller and faster, and a one-shot
-    :class:`AutoPackFallbackWarning` explains the recorder-driven
-    fallback.
+    allowed — a single ragged lane — just rarely worth it).  ``"auto"``
+    packs once a batch fills at least one full lane
+    (``n_traces >= 64``); below that the boolean engine is both smaller
+    and faster.
     """
     if pack_traces == "auto":
-        if n_traces < LANE_BITS:
-            return False
-        if recorder_accepts_packed(recorder):
-            return True
-        global _auto_fallback_warned
-        if not _auto_fallback_warned:
-            _auto_fallback_warned = True
-            msg = (
-                f"pack_traces='auto': recorder "
-                f"{type(recorder).__name__} has no packed accumulation "
-                "path (coupling partners, transient capture, or no "
-                "accepts_packed) — falling back to the boolean engine "
-                "for this and similar batches"
-            )
-            _LOG.info("%s", msg)
-            warnings.warn(msg, AutoPackFallbackWarning, stacklevel=2)
-        return False
+        return n_traces >= LANE_BITS
     if isinstance(pack_traces, (bool, np.bool_)):
         return bool(pack_traces)
     raise ValueError(
@@ -251,66 +161,3 @@ def popcount(lanes: np.ndarray) -> np.ndarray:
     return per_byte.reshape(lanes.shape + (lanes.dtype.itemsize,)).sum(
         axis=-1, dtype=np.uint8
     )
-
-
-#: Per-bin per-trace counts below ``2**COUNTER_EXACT_BITS`` are exact
-#: as float32 in *any* summation order, so counter-plane accumulation
-#: is bitwise-identical to the boolean engine's sequential float32
-#: adds.  At or above it, a flush still produces the correctly-rounded
-#: value (one int->float32 rounding) but warns loudly — the boolean
-#: engine itself would have drifted by then.
-COUNTER_EXACT_BITS = 24
-
-
-def lanes_to_int(lanes: np.ndarray) -> int:
-    """A ``(n_lanes,)`` uint64 lane vector as one little-endian Python
-    int — the plane representation :func:`counter_add` operates on.
-
-    Trace ``i``'s bit keeps position ``i`` (lane words are
-    little-endian and lane ``i // 64`` holds bit ``i % 64``), so
-    big-int ``& ^ |`` act lane-wise exactly like the numpy ops.
-    """
-    return int.from_bytes(lanes.tobytes(), "little")
-
-
-def counter_add(planes: "list[int]", mask: int, shift: int = 0) -> None:
-    """Ripple-carry add of a 1-bit-per-trace ``mask`` into vertical
-    counter ``planes``, scaled by ``2**shift``.
-
-    ``planes[j]`` holds bit ``j`` of every trace's count (as a big int,
-    see :func:`lanes_to_int`); the list grows in place as counts carry
-    into new planes.  A weight-``w`` toggle is added by calling this
-    once per set bit of ``w`` with that bit position as ``shift`` —
-    binary weight decomposition instead of multiplication.
-    """
-    carry = mask
-    j = shift
-    n = len(planes)
-    while carry:
-        if j >= n:
-            planes.extend([0] * (j - n))
-            planes.append(carry)
-            return
-        p = planes[j]
-        planes[j] = p ^ carry
-        carry = p & carry
-        j += 1
-
-
-def counter_unpack(
-    planes: "list[int]", lanes: int, count: int
-) -> np.ndarray:
-    """Materialise vertical counter ``planes`` as per-trace totals.
-
-    Returns a ``(count,)`` int64 array; pad bits beyond ``count`` are
-    dropped.  This runs once per bin per batch — the only point where
-    packed power accumulation leaves the bit-plane domain.
-    """
-    totals = np.zeros(count, dtype=np.int64)
-    nbytes = lanes * 8
-    for j, plane in enumerate(planes):
-        if not plane:
-            continue
-        words = np.frombuffer(plane.to_bytes(nbytes, "little"), dtype=np.uint64)
-        totals += unpack_u8(words, count).astype(np.int64) << j
-    return totals

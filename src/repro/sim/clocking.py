@@ -93,6 +93,17 @@ class ClockedHarness:
         self._t_offset_ps = 0
         self._ffs: List[Gate] = circuit.ff_gates()
         self._ff_index = {g.name: i for i, g in enumerate(self._ffs)}
+        # clock-edge gather tables: D wire of every FF, the DFFEs among
+        # them with their EN wires, Q wire of every FF
+        self._ff_d = np.array([g.inputs[0] for g in self._ffs], dtype=np.intp)
+        self._dffe = np.array(
+            [i for i, g in enumerate(self._ffs) if g.cell.name == "DFFE"],
+            dtype=np.intp,
+        )
+        self._dffe_en = np.array(
+            [self._ffs[i].inputs[1] for i in self._dffe], dtype=np.intp
+        )
+        self._ff_out = [g.output for g in self._ffs]
         if self.sim.packed:
             self._ff_q = np.zeros(
                 (len(self._ffs), self.sim.n_lanes), dtype=np.uint64
@@ -177,30 +188,29 @@ class ClockedHarness:
     def _sample_ffs(
         self, reset: bool, reset_groups: Iterable[str]
     ) -> List[InputEvent]:
-        """Clock edge: sample D/EN, emit Q-change events at CLK_TO_Q."""
-        reset_idx = set()
-        for grp in reset_groups:
-            reset_idx.update(self._reset_groups.get(grp, ()))
-        events: List[InputEvent] = []
+        """Clock edge: sample D/EN, emit Q-change events at CLK_TO_Q.
+
+        One gather of the D and EN rows, a bitwise DFFE mux (pad bits
+        keep shadowing the last real trace), the reset mask, then one
+        events list in FF order.
+        """
+        q = self._ff_q
+        if not len(q):
+            return []
         vals = self.sim.values
-        packed = self.sim.packed
-        for i, ff in enumerate(self._ffs):
-            if reset or i in reset_idx:
-                new_q = np.zeros_like(self._ff_q[i])
-            elif ff.cell.name == "DFFE":
-                d, en = ff.inputs
-                if packed:
-                    # Bitwise mux (np.where is positional, not bitwise):
-                    # pad bits keep shadowing the last real trace.
-                    new_q = (vals[en] & vals[d]) | (~vals[en] & self._ff_q[i])
-                else:
-                    new_q = np.where(vals[en], vals[d], self._ff_q[i])
-            else:
-                new_q = vals[ff.inputs[0]].copy()
-            if not np.array_equal(new_q, self._ff_q[i]):
-                self._ff_q[i] = new_q
-                events.append((CLK_TO_Q_PS, ff.output, new_q))
-        return events
+        new_q = np.take(vals, self._ff_d, axis=0)
+        if len(self._dffe):
+            en = np.take(vals, self._dffe_en, axis=0)
+            d = new_q[self._dffe]
+            new_q[self._dffe] = (en & d) | (~en & q[self._dffe])
+        if reset:
+            new_q[:] = 0
+        else:
+            for grp in reset_groups:
+                new_q[self._reset_groups.get(grp, [])] = 0
+        changed = np.flatnonzero((new_q != q).any(axis=1))
+        q[changed] = new_q[changed]
+        return [(CLK_TO_Q_PS, self._ff_out[i], new_q[i]) for i in changed.tolist()]
 
     def step(
         self,

@@ -1,4 +1,4 @@
-"""Schedule compiler + replay engine for the vectorised simulator.
+"""Schedule compiler + levelised replay engine for the vectorised simulator.
 
 Every leakage campaign re-simulates the *same* circuit with the *same*
 input-event timing pattern thousands of times — only the per-trace data
@@ -11,13 +11,21 @@ call through a heap and per-event dicts, which is pure-Python overhead.
 This module removes that overhead:
 
 * :func:`compile_schedule` runs the scheduling algorithm **once**,
-  symbolically, and records the result as a flat program: a sequence of
-  time steps, each holding (a) the wire updates applied at that instant
-  and (b) the gate evaluations it triggers, grouped by cell opcode so a
-  whole group evaluates as one ``(n_gates_in_group, n_traces)`` numpy
-  expression;
-* :func:`replay` executes that program as straight-line numpy — no
-  heap, no dicts — with batched power-recorder updates per time bin.
+  symbolically, and records the result as a levelised SSA program.
+  Every potential wire update gets its own *version* row and every
+  potential gate evaluation its own *value* row (no row is reused).
+  An update sits one level above the evaluation that produced its
+  value and the wire's previous version; an evaluation sits at the
+  level of its newest input version.  Thousands of event instants
+  collapse into the dataflow depth of the cone (tens of levels).  Rows
+  are numbered level by level, so a level is a few flat integer index
+  arrays (what it reads) and contiguous row slices (what it writes):
+  the updates, plus one block per cell function over all its
+  evaluations at that level;
+* :func:`replay` executes that program as a few fused numpy block ops
+  per level over ``(rows, lanes)`` — boolean rows or ``uint64`` lanes
+  (:mod:`repro.sim.bitpack`) through the same kernel — and hands the
+  settle's live toggles to the recorder's sink in one call.
 
 Exactness
 ---------
@@ -26,14 +34,20 @@ path, not merely equivalent on average.  The compiled program is a
 conservative superset (every *potential* evaluation), and replay keeps
 the interpreter's data-dependent guards as vectorised masks:
 
-* a scheduled wire update is applied only if its producing evaluation
-  actually ran (``slot_valid``), mirroring "no event was scheduled";
-* a gate evaluates only if one of its inputs actually toggled in at
-  least one trace, mirroring the interpreter's ``toggled.any()`` skip;
-* power is recorded only for genuinely toggling updates, in the same
-  per-time order (required for the coupling model's coincidence
-  window), and the event budget / ``events_processed`` accounting
-  matches the interpreter's.
+* an update whose producing evaluation did not run is invalid: its
+  version row keeps the old value (no toggle), mirroring "no event was
+  scheduled";
+* an evaluation is valid only if one of its trigger updates toggled in
+  at least one trace, mirroring the interpreter's ``toggled.any()``
+  skip — so wires whose inputs never toggle stay stale, exactly as in
+  the interpreter, even from an inconsistent reset state;
+* the recorder receives the live updates in the interpreter's
+  recording order (time, then update order within an instant), which
+  the coupling model's coincidence window needs;
+* ``events_processed`` counts the valid evaluations, the settle time
+  is the instant of the last valid update, and an exhausted event
+  budget raises the interpreter's error at the same instant, found
+  from the cumulative count of valid evaluations in time order.
 
 Cache invalidation
 ------------------
@@ -101,43 +115,68 @@ _CACHE_CAPACITY = 128
 
 
 @dataclass
-class _EvalGroup:
-    """All gates of one cell type evaluating at one instant."""
+class _Block:
+    """All evaluations of one cell function at one level."""
 
     evaluate: Callable[..., np.ndarray]
-    in_wires: np.ndarray  #: (n_pins, g) input wire ids
-    out_slots: np.ndarray  #: (g,) destination value slots
-    trig: np.ndarray  #: (g, k_updates) bool — which updates trigger row i
-    #: (g,) update index when every row has exactly one trigger, else None
-    #: (replay then gathers liveness instead of reducing the trig matrix).
-    trig_one: Optional[np.ndarray] = None
+    in_rows: np.ndarray  #: (n_pins, g) rows of the input versions
+    out: slice  #: the g value rows written
+    trig: np.ndarray  #: new-version rows of the triggering updates, flat
+    #: ``reduceat`` starts of each evaluation's triggers in ``trig``;
+    #: ``None`` when every evaluation has exactly one trigger.
+    starts: Optional[np.ndarray]
 
 
 @dataclass
-class _TimeStep:
-    """One event instant: wire updates, then triggered evaluations."""
+class _Level:
+    """One dataflow level: its wire updates, then its evaluations."""
 
-    t: float
-    upd_wires: np.ndarray  #: (k,) wire ids updated at t
-    upd_slots: np.ndarray  #: (k,) slots holding the scheduled values
-    groups: List[_EvalGroup]
+    prev: np.ndarray  #: row of each updated wire's previous version
+    val: np.ndarray  #: row of each scheduled value
+    dst: slice  #: rows of the new versions
+    blocks: List[_Block]
 
 
 @dataclass
 class CompiledSchedule:
-    """A replayable straight-line program for one timing pattern."""
+    """A replayable levelised program for one timing pattern.
 
-    steps: List[_TimeStep]
-    n_slots: int
-    input_slots: List[int]  #: slot of each input event, in event order
+    Rows ``[0, n_inputs)`` hold the input events and the next
+    ``len(init_wires)`` rows the seeded wire state.  The per-update and
+    per-evaluation arrays are in the interpreter's order (event instant,
+    then insertion order).
+    """
+
+    levels: List[_Level]
+    n_rows: int
+    n_inputs: int
+    init_wires: np.ndarray  #: wires seeded after the input rows
+    out_rows: np.ndarray  #: final version row of each updated wire ...
+    out_wires: np.ndarray  #: ... written back to these wires
+    #: event instants in processing order, as the Python values the
+    #: interpreter reports (settle time, budget errors)
+    times: List[float]
+    step_times: np.ndarray  #: the same instants as an array, for the sink
+    upd_step: np.ndarray  #: instant index of each update
+    upd_wire: np.ndarray  #: wire of each update
+    upd_val: np.ndarray  #: value row of each update
+    upd_prev: np.ndarray  #: previous-version row of each update
+    upd_dst: np.ndarray  #: new-version row of each update
+    eval_rows: np.ndarray  #: value row of each evaluation
+    eval_step: np.ndarray  #: instant index of each evaluation
     n_potential_evals: int  #: size of the conservative schedule
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (
-            f"CompiledSchedule({len(self.steps)} time steps, "
+            f"CompiledSchedule({len(self.times)} instants, "
+            f"{len(self.levels)} levels, "
             f"{self.n_potential_evals} potential evals, "
-            f"{self.n_slots} value slots)"
+            f"{self.n_rows} rows)"
         )
+
+
+def _ids(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.intp)
 
 
 # ----------------------------------------------------------------------
@@ -149,12 +188,12 @@ def compile_schedule(
     pattern: Sequence[Tuple[float, int]],
     max_evals: Optional[int] = None,
 ) -> Optional[CompiledSchedule]:
-    """Run the event scheduler symbolically and record its trace.
+    """Run the event scheduler symbolically and record its dataflow.
 
     Mirrors ``VectorSimulator.settle`` exactly — same heap order, same
-    pending-slot overwrite rule (last write wins, original insertion
+    pending overwrite rule (last write wins, original insertion
     position kept), same fanout-dedup order — but propagates *potential*
-    changes instead of values.
+    changes instead of values, then levelises the resulting program.
 
     Args:
         circuit: The netlist (delays already include routing jitter).
@@ -172,111 +211,157 @@ def compile_schedule(
     if max_evals is None:
         max_evals = _COMPILE_BUDGET_FACTOR * (64 * max(1, len(gates)) + 64)
 
-    free: List[int] = []
-    n_slots = 0
+    row_level: List[int] = []
 
-    def alloc() -> int:
-        nonlocal n_slots
-        if free:
-            return free.pop()
-        s = n_slots
-        n_slots += 1
-        return s
+    def new_row(level: int) -> int:
+        row_level.append(level)
+        return len(row_level) - 1
 
-    # pending[t] = {wire: slot} — dict preserves the interpreter's
+    init_rows: List[int] = []
+    init_wires: List[int] = []
+    current: Dict[int, int] = {}  # wire -> row of its newest version
+
+    def version(wire: int) -> int:
+        row = current.get(wire)
+        if row is None:
+            row = current[wire] = new_row(0)
+            init_rows.append(row)
+            init_wires.append(wire)
+        return row
+
+    # pending[t] = {wire: value row} — dict preserves the interpreter's
     # insertion order; overwriting keeps the original position, exactly
     # like the interpreter's ``slot[wire] = vals``.
     pending: Dict[float, Dict[int, int]] = {}
     heap: List[float] = []
     queued: set = set()
 
-    def schedule(t: float, wire: int, slot: int) -> None:
-        d = pending.setdefault(t, {})
-        old = d.get(wire)
-        if old is not None:
-            free.append(old)  # overwritten producer is never read
-        d[wire] = slot
+    def schedule(t: float, wire: int, row: int) -> None:
+        pending.setdefault(t, {})[wire] = row
         if t not in queued:
             queued.add(t)
             heapq.heappush(heap, t)
 
-    input_slots: List[int] = []
-    for t, wire in pattern:
-        s = alloc()
-        input_slots.append(s)
-        schedule(t, wire, s)
+    input_rows = [new_row(0) for _ in pattern]
+    for (t, wire), row in zip(pattern, input_rows):
+        schedule(t, wire, row)
 
-    steps: List[_TimeStep] = []
-    total_evals = 0
+    times: List[float] = []
+    upd_step: List[int] = []
+    upd_wire: List[int] = []
+    upd_val: List[int] = []
+    upd_prev: List[int] = []
+    upd_dst: List[int] = []
+    # per evaluation: instant, cell function, input rows, value row,
+    # trigger update ids
+    evals: List[Tuple[int, Callable, List[int], int, List[int]]] = []
     while heap:
         t = heapq.heappop(heap)
         queued.discard(t)
         updates = pending.pop(t)
-        wires = list(updates.keys())
-        slots = list(updates.values())
-        # Consumed slots are reusable immediately: replay gathers their
-        # values before any same-instant evaluation writes new ones.
-        free.extend(slots)
-        wire_pos = {w: j for j, w in enumerate(wires)}
+        step = len(times)
+        times.append(t)
+        updated: Dict[int, int] = {}  # wire -> update id at this instant
+        for wire, val in updates.items():
+            prev = version(wire)
+            dst = new_row(1 + max(row_level[val], row_level[prev]))
+            updated[wire] = len(upd_wire)
+            upd_step.append(step)
+            upd_wire.append(wire)
+            upd_val.append(val)
+            upd_prev.append(prev)
+            upd_dst.append(dst)
+            current[wire] = dst
 
         affected: List[int] = []
-        for w in wires:
+        for w in updates:
             affected.extend(comb_fanout.get(w, ()))
-        rows: List[Tuple[int, int, List[int]]] = []
         for gi in dict.fromkeys(affected):
-            total_evals += 1
-            if total_evals > max_evals:
+            if len(evals) >= max_evals:
                 return None
             g = gates[gi]
-            out_slot = alloc()
-            trig = sorted(
-                {wire_pos[w] for w in g.inputs if w in wire_pos}
-            )
-            rows.append((gi, out_slot, trig))
-            schedule(t + g.delay_ps, g.output, out_slot)
+            ins = [version(w) for w in g.inputs]
+            out = new_row(max(row_level[r] for r in ins))
+            trig = [updated[w] for w in dict.fromkeys(g.inputs) if w in updated]
+            evals.append((step, g.cell.evaluate, ins, out, trig))
+            schedule(t + g.delay_ps, g.output, out)
 
-        groups: List[_EvalGroup] = []
-        by_cell: Dict[str, List[Tuple[int, int, List[int]]]] = {}
-        for row in rows:
-            by_cell.setdefault(gates[row[0]].cell.name, []).append(row)
-        k = len(wires)
-        for cell_rows in by_cell.values():
-            g0 = gates[cell_rows[0][0]]
-            n_pins = len(g0.inputs)
-            in_wires = np.empty((n_pins, len(cell_rows)), dtype=np.intp)
-            out_slots = np.empty(len(cell_rows), dtype=np.intp)
-            trig = np.zeros((len(cell_rows), k), dtype=bool)
-            for i, (gi, out_slot, trig_cols) in enumerate(cell_rows):
-                in_wires[:, i] = gates[gi].inputs
-                out_slots[i] = out_slot
-                trig[i, trig_cols] = True
-            trig_one = None
-            if all(len(r[2]) == 1 for r in cell_rows):
-                trig_one = np.asarray(
-                    [r[2][0] for r in cell_rows], dtype=np.intp
-                )
-            groups.append(
-                _EvalGroup(
-                    evaluate=g0.cell.evaluate,
-                    in_wires=in_wires,
-                    out_slots=out_slots,
-                    trig=trig,
-                    trig_one=trig_one,
+    # Levelise.  Rows are renumbered so that every level's new versions
+    # and every block's values form one contiguous slice: input events
+    # first, then the seeded wire state, then level by level.
+    n_levels = 1 + max((row_level[r] for r in upd_dst), default=0)
+    level_updates: List[List[int]] = [[] for _ in range(n_levels)]
+    for u, dst in enumerate(upd_dst):
+        level_updates[row_level[dst]].append(u)
+    level_blocks: List[Dict[Tuple[Callable, int], List[int]]] = [
+        {} for _ in level_updates
+    ]
+    for e, (_, fn, ins, out, _) in enumerate(evals):
+        level_blocks[row_level[out]].setdefault((fn, len(ins)), []).append(e)
+
+    # A single pass suffices: everything a level reads was numbered at
+    # a lower level (or is level 0), and every trigger of an evaluation
+    # is an update at or below its level.
+    renum = np.empty(len(row_level), dtype=np.intp)
+    n_numbered = 0
+
+    def number(old_rows) -> slice:
+        nonlocal n_numbered
+        lo = n_numbered
+        n_numbered += len(old_rows)
+        renum[old_rows] = np.arange(lo, n_numbered)
+        return slice(lo, n_numbered)
+
+    number(input_rows)
+    number(init_rows)
+    upd_prev_a, upd_val_a, upd_dst_a = _ids(upd_prev), _ids(upd_val), _ids(upd_dst)
+    levels: List[_Level] = []
+    for lvl, members in enumerate(level_updates):
+        if not members:
+            continue  # no update, hence no evaluation, at this level
+        u = _ids(members)
+        dst = number(upd_dst_a[u])
+        blocks = []
+        for (fn, _), group in level_blocks[lvl].items():
+            trigs = [renum[upd_dst_a[evals[e][4]]] for e in group]
+            starts = None
+            if any(len(tr) > 1 for tr in trigs):
+                starts = _ids(np.cumsum([0] + [len(tr) for tr in trigs[:-1]]))
+            blocks.append(
+                _Block(
+                    evaluate=fn,
+                    in_rows=renum[_ids([evals[e][2] for e in group]).T],
+                    out=number([evals[e][3] for e in group]),
+                    trig=np.concatenate(trigs),
+                    starts=starts,
                 )
             )
-        steps.append(
-            _TimeStep(
-                t=t,
-                upd_wires=np.asarray(wires, dtype=np.intp),
-                upd_slots=np.asarray(slots, dtype=np.intp),
-                groups=groups,
+        levels.append(
+            _Level(
+                prev=renum[upd_prev_a[u]],
+                val=renum[upd_val_a[u]],
+                dst=dst,
+                blocks=blocks,
             )
         )
+    written = dict.fromkeys(upd_wire)
     return CompiledSchedule(
-        steps=steps,
-        n_slots=n_slots,
-        input_slots=input_slots,
-        n_potential_evals=total_evals,
+        levels=levels,
+        n_rows=len(row_level),
+        n_inputs=len(input_rows),
+        init_wires=_ids(init_wires),
+        out_rows=renum[_ids([current[w] for w in written])],
+        out_wires=_ids(list(written)),
+        times=times,
+        step_times=np.asarray(times),
+        upd_step=_ids(upd_step),
+        upd_wire=_ids(upd_wire),
+        upd_val=renum[upd_val_a],
+        upd_prev=renum[upd_prev_a],
+        upd_dst=renum[upd_dst_a],
+        eval_rows=renum[_ids([e[3] for e in evals])],
+        eval_step=_ids([e[0] for e in evals]),
+        n_potential_evals=len(evals),
     )
 
 
@@ -437,258 +522,104 @@ def schedule_cache_counters() -> Dict[str, int]:
 # ----------------------------------------------------------------------
 # replay
 # ----------------------------------------------------------------------
+#: dtype -> flat row buffer reused across replays.  Allocating a fresh
+#: multi-megabyte buffer per settle costs more in page faults than the
+#: replay itself; a replay takes the buffer out while it runs, so a
+#: concurrent one just allocates its own.
+_ROWS: Dict[np.dtype, np.ndarray] = {}
+
+
 def replay(
     schedule: CompiledSchedule,
     values: np.ndarray,
     event_values: Sequence[np.ndarray],
-    recorder,
+    sink: Optional[Callable],
     t_offset: float,
     max_events: int,
     circuit=None,
-    n_traces: Optional[int] = None,
 ) -> Tuple[float, int]:
-    """Execute a compiled program over ``(n_wires, n_traces)`` state.
+    """Execute a compiled program over the simulator's wire state.
 
     Args:
         schedule: Program from :func:`compile_schedule`.
         values: The simulator's wire-value matrix (mutated in place):
             ``(n_wires, n_traces)`` bool, or ``(n_wires, n_lanes)``
-            ``uint64`` in packed mode (:mod:`repro.sim.bitpack`).
-        event_values: One coerced array per input event, in the order
-            of the compiled pattern — ``(n_traces,)`` bool, or
-            ``(n_lanes,)`` uint64 in packed mode.
-        recorder: Optional power recorder.  Recorders with coupling
-            partners (or without :meth:`add_energy`) take the exact
-            per-wire path; plain recorders get one batched per-time-bin
-            energy update; :class:`~repro.sim.power.NullRecorder`
-            (``is_null``) skips all recording arithmetic entirely.
+            ``uint64`` in packed mode (:mod:`repro.sim.bitpack`).  The
+            kernel is the same for both: every op is bitwise.
+        event_values: One coerced row per input event, in the order of
+            the compiled pattern, with the dtype of ``values``.
+        sink: The recorder's toggle sink
+            (:func:`repro.sim.power.toggle_sink`), or ``None`` to skip
+            recording.  It receives the settle's live updates once, in
+            the interpreter's recording order: absolute times, wires,
+            toggle rows and new-value rows.
         t_offset: Absolute time of this call's t=0.
         max_events: Gate-evaluation budget (same semantics as the
             interpreter's).
         circuit: The owning circuit, used only for diagnostics (name
             and oscillating-wire names in budget errors).
-        n_traces: Real trace count in packed mode (pad bits are
-            stripped before anything reaches the recorder); ``None``
-            means boolean state.
-
-    In packed mode every guard and state update below runs on the
-    64x-smaller lane words, and recording stays packed too: when the
-    recorder offers a packed accumulator
-    (:meth:`~repro.sim.power.PowerRecorder.packed_accumulator`), each
-    live toggle mask is ripple-carry-added into per-bin counter planes
-    (:mod:`repro.sim.bitpack`) and only unpacked once per batch —
-    bitwise-identical to the boolean engine below the
-    ``2**COUNTER_EXACT_BITS`` bound.  Recorders without a packed path
-    (coupling partners, custom recorders) fall back to lazy per-event
-    unpacking: toggle masks become per-trace bits only at recording
-    points and only when at least one lane toggled, feeding the exact
-    float expressions of the boolean path (pad bits shadow the last
-    real trace — see :mod:`repro.sim.bitpack` — so liveness and event
-    accounting match too).
 
     Returns:
         ``(settle_time, n_gate_evaluations)``.
+
+    Raises:
+        SimulationError: The valid evaluations exceed ``max_events``;
+            the wire state is left untouched.
     """
-    from .bitpack import unpack_bool, unpack_u8
-    from .vectorsim import budget_error
+    size = schedule.n_rows * values.shape[1]
+    buf = _ROWS.pop(values.dtype, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype=values.dtype)
+    rows = buf[:size].reshape(schedule.n_rows, values.shape[1])
+    n_in = schedule.n_inputs
+    if n_in:
+        rows[:n_in] = event_values
+    n_init = len(schedule.init_wires)
+    rows[n_in : n_in + n_init] = values.take(schedule.init_wires, axis=0)
+    valid = np.zeros(schedule.n_rows, dtype=bool)
+    valid[:n_in] = True
+    live = np.empty(schedule.n_rows, dtype=bool)  # read at version rows only
+    for level in schedule.levels:
+        new = rows[level.dst]
+        rows.take(level.val, axis=0, out=new, mode="clip")  # "clip": no copy
+        prev = rows.take(level.prev, axis=0)
+        ok = valid[level.val]
+        if not ok.all():
+            new[~ok] = prev[~ok]  # no event scheduled: keep the version
+        live[level.dst] = (new != prev).any(axis=1)
+        for blk in level.blocks:
+            if blk.starts is None:
+                ok = live[blk.trig]
+            else:
+                ok = np.logical_or.reduceat(live[blk.trig], blk.starts)
+            if not ok.any():
+                continue  # value rows of dead evaluations stay invalid
+            valid[blk.out] = ok
+            rows[blk.out] = blk.evaluate(*rows.take(blk.in_rows, axis=0))
 
-    packed = n_traces is not None
-    n = values.shape[1] if values.ndim == 2 else 0
-    slot_values = np.empty((max(1, schedule.n_slots), n), dtype=values.dtype)
-    slot_valid = np.zeros(max(1, schedule.n_slots), dtype=bool)
-    for slot, vals in zip(schedule.input_slots, event_values):
-        slot_values[slot] = vals
-        slot_valid[slot] = True
+    evaluated = valid[schedule.eval_rows]
+    n_evals = int(np.count_nonzero(evaluated))
+    upd_valid = valid[schedule.upd_val]
+    if n_evals > max_events:
+        from .vectorsim import budget_error
 
-    record_wire = None
-    add_energy = None
-    acc_add = None
-    weights = None
-    if recorder is not None and not getattr(recorder, "is_null", False):
-        if packed and hasattr(recorder, "packed_accumulator"):
-            acc = recorder.packed_accumulator(n_traces, values.shape[1])
-            if acc is not None:
-                acc_add = acc.add
-        if acc_add is None:
-            batched = not getattr(recorder, "_partners", None)
-            add_energy = (
-                getattr(recorder, "add_energy", None) if batched else None
+        over = int(np.searchsorted(np.cumsum(evaluated), max_events + 1))
+        step = schedule.eval_step[over]
+        wires = schedule.upd_wire[(schedule.upd_step == step) & upd_valid]
+        raise budget_error(circuit, schedule.times[step], max_events, wires)
+
+    values[schedule.out_wires] = rows.take(schedule.out_rows, axis=0)
+    scheduled = np.flatnonzero(upd_valid)
+    last_t = schedule.times[schedule.upd_step[scheduled[-1]]] if len(scheduled) else 0
+    if sink is not None:
+        ids = np.flatnonzero(live[schedule.upd_dst])
+        if len(ids):
+            new = rows.take(schedule.upd_dst[ids], axis=0)
+            sink(
+                t_offset + schedule.step_times[schedule.upd_step[ids]],
+                schedule.upd_wire[ids],
+                new ^ rows.take(schedule.upd_prev[ids], axis=0),
+                new,
             )
-            if add_energy is None:
-                record_wire = recorder.record_wire
-            else:
-                weights = getattr(recorder, "_weights", None)
-
-    budget = max_events
-    processed = 0
-    last_t: float = 0
-    f32 = np.float32
-    for step in schedule.steps:
-        slots = step.upd_slots
-        wires = step.upd_wires
-
-        # --- single-update fast path: 1-D views, no fancy indexing ----
-        if len(slots) == 1:
-            s0 = slots[0]
-            if not slot_valid[s0]:
-                # Nothing was scheduled here, so none of the step's
-                # evaluations run — their (possibly reused) output
-                # slots must not keep a stale validity.
-                for grp in step.groups:
-                    slot_valid[grp.out_slots] = False
-                continue
-            last_t = step.t
-            w0 = wires[0]
-            new_row = slot_values[s0]
-            toggled_row = values[w0] ^ new_row
-            if acc_add is not None:
-                # Packed-domain recording: convert the lane mask to a
-                # big-int once — the int doubles as the liveness test
-                # (zero mask = no toggle), so this path never pays the
-                # per-event ndarray.any() reduction.
-                mask0 = int.from_bytes(toggled_row.tobytes(), "little")
-                live0 = mask0 != 0
-                if live0:
-                    values[w0] = new_row
-                    acc_add(t_offset + step.t, int(w0), mask0)
-            elif (live0 := bool(toggled_row.any())):
-                values[w0] = new_row
-                if record_wire is not None:
-                    if packed:
-                        record_wire(
-                            t_offset + step.t,
-                            int(w0),
-                            unpack_bool(toggled_row, n_traces),
-                            unpack_bool(new_row, n_traces),
-                        )
-                    else:
-                        record_wire(
-                            t_offset + step.t, int(w0), toggled_row, new_row
-                        )
-                elif add_energy is not None:
-                    # Identical arithmetic to record_wire's accumulation,
-                    # so this path is bitwise exact for *any* weights.
-                    scale = f32(1.0) if weights is None else f32(weights[w0])
-                    bits = (
-                        unpack_u8(toggled_row, n_traces)
-                        if packed
-                        else toggled_row
-                    )
-                    add_energy(t_offset + step.t, bits * scale)
-            for grp in step.groups:
-                # k == 1: every row is triggered by the sole update.
-                out_slots = grp.out_slots
-                slot_valid[out_slots] = live0
-                if not live0:
-                    continue
-                cnt = len(out_slots)
-                budget -= cnt
-                if budget < 0:
-                    raise budget_error(circuit, step.t, max_events, wires)
-                processed += cnt
-                iw = grp.in_wires
-                if len(iw) == 2:
-                    out = grp.evaluate(values[iw[0]], values[iw[1]])
-                elif len(iw) == 1:
-                    out = grp.evaluate(values[iw[0]])
-                else:
-                    out = grp.evaluate(*(values[w] for w in iw))
-                slot_values[out_slots] = out
-            continue
-
-        # --- general path: k simultaneous updates ---------------------
-        valid = slot_valid[slots]
-        all_valid = valid.all()
-        if not all_valid and not valid.any():
-            # Dead step: invalidate its outputs (slot reuse, see above).
-            for grp in step.groups:
-                slot_valid[grp.out_slots] = False
-            continue
-        last_t = step.t
-        new = slot_values[slots]
-        toggled = values[wires] ^ new
-        if not all_valid:
-            toggled[~valid] = False
-        live = toggled.any(axis=1)
-        n_live = int(live.sum())
-        if n_live:
-            if n_live == len(live):
-                values[wires] = new
-            else:
-                values[wires[live]] = new[live]
-            if acc_add is not None:
-                # One tobytes() for the whole step; per-row big-ints
-                # come from byte slices instead of ndarray views.
-                t_abs = t_offset + step.t
-                data = toggled.tobytes()
-                stride = toggled.shape[1] * 8
-                for r in np.nonzero(live)[0]:
-                    o = r * stride
-                    acc_add(
-                        t_abs,
-                        int(wires[r]),
-                        int.from_bytes(data[o : o + stride], "little"),
-                    )
-            elif record_wire is not None:
-                t_abs = t_offset + step.t
-                if packed:
-                    for r in np.nonzero(live)[0]:
-                        record_wire(
-                            t_abs,
-                            int(wires[r]),
-                            unpack_bool(toggled[r], n_traces),
-                            unpack_bool(new[r], n_traces),
-                        )
-                else:
-                    for r in np.nonzero(live)[0]:
-                        record_wire(t_abs, int(wires[r]), toggled[r], new[r])
-            elif add_energy is not None:
-                if packed:
-                    # Unpack and dot only the rows that actually
-                    # toggled — dead rows contribute exact float zeros,
-                    # so dropping them cannot change any partial sum
-                    # (the same argument that makes this batched path
-                    # bit-identical to per-wire accumulation for the
-                    # integer-valued weights, see
-                    # PowerRecorder.add_energy).  Row order is kept.
-                    idx = np.nonzero(live)[0]
-                    bits = unpack_u8(toggled[idx], n_traces)
-                    if weights is None:
-                        energy = np.dot(np.ones(len(idx), dtype=f32), bits)
-                    else:
-                        energy = np.dot(weights[wires[idx]].astype(f32), bits)
-                else:
-                    if weights is None:
-                        energy = np.dot(
-                            np.ones(len(wires), dtype=f32),
-                            toggled.view(np.uint8),
-                        )
-                    else:
-                        energy = np.dot(
-                            weights[wires].astype(f32),
-                            toggled.view(np.uint8),
-                        )
-                add_energy(t_offset + step.t, energy)
-        for grp in step.groups:
-            out_slots = grp.out_slots
-            if grp.trig_one is not None:
-                glive = live[grp.trig_one]
-            else:
-                glive = (grp.trig & live).any(axis=1)
-            slot_valid[out_slots] = glive
-            cnt = int(glive.sum())
-            if cnt == 0:
-                continue
-            budget -= cnt
-            if budget < 0:
-                raise budget_error(circuit, step.t, max_events, wires)
-            processed += cnt
-            iw = grp.in_wires
-            if len(iw) == 2:
-                out = grp.evaluate(values[iw[0]], values[iw[1]])
-            elif len(iw) == 1:
-                out = grp.evaluate(values[iw[0]])
-            else:
-                out = grp.evaluate(*(values[w] for w in iw))
-            slot_values[out_slots] = out
-    return last_t, processed
+    _ROWS[values.dtype] = buf
+    return last_t, n_evals

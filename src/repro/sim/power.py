@@ -22,20 +22,38 @@ pairs, coincident transitions add an energy term
 which is exactly the mechanism that makes 2-share implementations leak
 in the first order even when probing-secure (cf. De Cnudde et al.,
 "Does Coupling Affect the Security of Masked Implementations?").
+
+Recording
+---------
+Both simulation engines hand every settle's live transitions to one
+sink, :class:`PackedToggleAccumulator`, in a single call: absolute
+times, wires, toggle rows and new-value rows in recording order —
+``uint64`` lanes from the packed engine, boolean rows otherwise.  The
+sink bins them by (bin, weight) group with byte-wide counters summed
+eight to a ``uint64`` word, and derives the coupling term from the same
+rows.  It keeps *exact integer* sums per bin — toggle energy ``E`` and
+the coupling sign products ``S`` — and :attr:`PowerRecorder.power`
+converts once, rounding ``E - c * S`` to float32 (``c`` as a float32,
+as the per-event float32 arithmetic used it).  With integer weights and
+a dyadic coefficient (5.0, 0.25, ...) every partial sum of a per-event
+float32 accumulation is exact too, so the two agree bitwise; for other
+coefficients (the default 0.05) the single rounding gives the correctly
+rounded value where per-event accumulation drifted.  Weights must
+therefore be non-negative integers.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
 from ..obs.trace import trace
-from .bitpack import COUNTER_EXACT_BITS, counter_add, counter_unpack
+from .bitpack import n_lanes, unpack_bool, unpack_u8
 
 _LOG = get_logger("sim.power")
 
@@ -46,8 +64,8 @@ __all__ = [
     "NullRecorder",
     "TransientRecorder",
     "default_weights",
+    "toggle_sink",
     "ClampedEventWarning",
-    "PackedAccumulatorOverflowWarning",
     "packed_accumulator_counters",
     "reset_packed_accumulator_counters",
 ]
@@ -60,52 +78,27 @@ class ClampedEventWarning(RuntimeWarning):
     counted in ``recorder.stats["clamped_events"]``."""
 
 
-class PackedAccumulatorOverflowWarning(RuntimeWarning):
-    """A packed counter bin reached ``2**COUNTER_EXACT_BITS``: float32
-    can no longer represent every integer count exactly, so bitwise
-    equality with the boolean engine's sequential adds is off the
-    table.  The flush still deposits the correctly-rounded value (one
-    exact-integer -> float32 conversion) instead of drifting."""
-
-
-#: Registry metric names for the process-wide packed-accumulation
-#: telemetry (backed by :mod:`repro.obs.metrics`), surfaced by the
-#: throughput bench.  ``max_planes`` is a high-water gauge; the rest
-#: are monotone counters — snapshot with
-#: :func:`packed_accumulator_counters` and diff around a region.
-_M_ACCUMULATORS = "packed_accumulator.accumulators"
-_M_FLUSHES = "packed_accumulator.flushes"
-_M_MAX_PLANES = "packed_accumulator.max_planes"
-_M_OVERFLOW_BINS = "packed_accumulator.overflow_bins"
+#: Registry metric names of the process-wide sink telemetry (backed by
+#: :mod:`repro.obs.metrics`): sink calls (one per recorded settle) and
+#: toggle rows binned.  Snapshot with :func:`packed_accumulator_counters`
+#: and diff around a region.
+_M_CALLS = "packed_accumulator.calls"
+_M_ROWS = "packed_accumulator.rows"
 _M_CLAMPED = "power.clamped_events"
-_PACKED_METRIC_NAMES = (
-    _M_ACCUMULATORS,
-    _M_FLUSHES,
-    _M_MAX_PLANES,
-    _M_OVERFLOW_BINS,
-)
 
 
 def packed_accumulator_counters() -> Dict[str, int]:
-    """Snapshot of the process-wide packed-accumulation counters.
-
-    A stable re-export of the :mod:`repro.obs.metrics` registry
-    entries (``packed_accumulator.*``): ``accumulators`` instances
-    created, ``flushes`` end-of-batch counter-plane unpacks,
-    ``max_planes`` deepest per-bin counter seen and ``overflow_bins``
-    that crossed the 2^24 exactness bound.
-    """
+    """Snapshot of the process-wide sink counters: ``calls`` (sink
+    calls, one per recorded settle) and ``rows`` (toggle rows binned)."""
     return {
-        "accumulators": int(obs_metrics.counter_value(_M_ACCUMULATORS)),
-        "flushes": int(obs_metrics.counter_value(_M_FLUSHES)),
-        "max_planes": int(obs_metrics.gauge_value(_M_MAX_PLANES)),
-        "overflow_bins": int(obs_metrics.counter_value(_M_OVERFLOW_BINS)),
+        "calls": int(obs_metrics.counter_value(_M_CALLS)),
+        "rows": int(obs_metrics.counter_value(_M_ROWS)),
     }
 
 
 def reset_packed_accumulator_counters() -> None:
-    """Zero the packed-accumulation counters (tests / bench prep)."""
-    obs_metrics.reset_metrics(_PACKED_METRIC_NAMES)
+    """Zero the sink counters (tests / bench prep)."""
+    obs_metrics.reset_metrics((_M_CALLS, _M_ROWS))
 
 
 @dataclass
@@ -144,106 +137,169 @@ def default_weights(fanout: Dict[int, List[int]], n_wires: int) -> np.ndarray:
     return w
 
 
-class PowerRecorder:
-    """Accumulates transition energy into a (n_traces, n_bins) matrix.
+def _deposit(
+    target: np.ndarray, bins: np.ndarray, weights: np.ndarray, rows: np.ndarray
+) -> None:
+    """``target[bins[r]] += weights[r] * bits(rows[r])`` for every row
+    ``r``, exactly, for integer ``weights``.
 
-    The simulator calls :meth:`record_batch` once per event time with
-    all wires that changed at that instant, so coincident-transition
-    coupling can be evaluated exactly.
+    ``rows`` are ``uint64`` lanes or boolean rows.  Rows are grouped by
+    (bin, weight); each run of at most 255 rows of a group is spread to
+    one byte per trace and summed as ``uint64`` words, eight per-trace
+    byte counters per word (no counter can carry into its neighbour),
+    and the counts are widened, weighted and added.
+    """
+    n = target.shape[1]
+    w0 = int(weights.min())
+    order = np.argsort(
+        bins * (int(weights.max()) - w0 + 1) + (weights - w0), kind="stable"
+    )
+    rows = np.take(rows, order, axis=0)
+    bins, weights = bins[order], weights[order]
+    if rows.dtype != np.uint64 and n % 8:
+        rows = np.concatenate(
+            [rows, np.zeros((len(rows), 8 - n % 8), dtype=bool)], axis=1
+        )
+    starts = np.flatnonzero((np.diff(bins) != 0) | (np.diff(weights) != 0)) + 1
+    bounds = [0, *starts.tolist(), len(rows)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for c in range(lo, hi, 255):
+            run = rows[c : min(hi, c + 255)]
+            if run.dtype == np.uint64:
+                run = unpack_u8(run, run.shape[1] * 64)
+            counts = run.view(np.uint64).sum(axis=0).view(np.uint8)
+            target[bins[lo]] += counts[:n].astype(np.int64) * weights[lo]
+
+
+class PackedToggleAccumulator:
+    """The recording sink: one :meth:`add` per settle, exact sums.
+
+    It takes boolean rows as well as packed lanes; the name predates
+    that and is kept because the repository benchmark (``perfbench/``)
+    times :meth:`add` under it.
+
+    Holds per-bin integer sums — toggle energy and, with coupling, the
+    sign-product sums — as ``(n_bins, n_traces)`` int64 matrices, plus
+    the last transition of every coupled wire, which carries across the
+    settles of a batch.  It holds no reference to its
+    :class:`PowerRecorder`, so a batch's recorder dies with its batch.
     """
 
     def __init__(
         self,
         n_traces: int,
-        total_time_ps: int,
-        bin_ps: int = 250,
-        weights: Optional[np.ndarray] = None,
-        coupling: Optional[CouplingModel] = None,
+        n_bins: int,
+        bin_ps: int,
+        weights: Optional[np.ndarray],
+        coupling: Optional[CouplingModel],
+        stats: Dict[str, int],
     ):
-        if bin_ps <= 0:
-            raise ValueError("bin_ps must be positive")
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if np.any(weights < 0) or np.any(weights != np.floor(weights)):
+                raise ValueError("toggle weights must be non-negative integers")
+            weights = weights.astype(np.int64)
         self.n_traces = n_traces
+        self.n_bins = n_bins
         self.bin_ps = bin_ps
-        self.n_bins = max(1, -(-total_time_ps // bin_ps))
-        self._power = np.zeros((n_traces, self.n_bins), dtype=np.float32)
+        self.stats = stats
         self._weights = weights
         self._coupling = coupling
         self._partners = coupling.partner_map() if coupling else {}
-        # last transition of each coupled wire: wire -> (t_ps, sign array)
-        self._last_transition: Dict[int, Tuple[int, np.ndarray]] = {}
-        #: Observability counters; ``clamped_events`` counts recorded
-        #: calls whose time fell past the window (see
-        #: :class:`ClampedEventWarning`), the ``overflow_bins`` /
-        #: ``max_counter_planes`` pair mirrors the packed accumulator.
-        self.stats: Dict[str, int] = {
-            "clamped_events": 0,
-            "overflow_bins": 0,
-            "max_counter_planes": 0,
-        }
+        self._coupled = np.asarray(sorted(self._partners), dtype=np.intp)
+        # coupled wire -> (t_ps, toggled, new) of its last transition
+        self._last: Dict[int, Tuple[float, np.ndarray, np.ndarray]] = {}
+        self.energy = np.zeros((n_bins, n_traces), dtype=np.int64)
+        self.coupling_sum = (
+            np.zeros((n_bins, n_traces), dtype=np.int64) if coupling else None
+        )
+        #: Bumped by every :meth:`add`; readers cache conversions on it.
+        self.version = 0
         self._clamp_warned = False
-        self._packed_acc: Optional["PackedToggleAccumulator"] = None
 
-    @property
-    def power(self) -> np.ndarray:
-        """The accumulated (n_traces, n_bins) power matrix.
+    def add(
+        self,
+        times: np.ndarray,
+        wires: np.ndarray,
+        toggled: np.ndarray,
+        new: np.ndarray,
+    ) -> None:
+        """Bin one settle's live transitions.
 
-        Reading it flushes any pending packed counter planes first, so
-        callers always see the complete batch.
+        Args:
+            times: ``(R,)`` absolute times, in recording order.
+            wires: ``(R,)`` wire ids.
+            toggled: ``(R, n_lanes)`` uint64 or ``(R, n_traces)`` bool
+                ``old ^ new`` rows; every row toggles in some trace.
+            new: New values, same shape and dtype as ``toggled``.
         """
-        if self._packed_acc is not None:
-            self._packed_acc.flush()
-        return self._power
-
-    @property
-    def accepts_packed(self) -> bool:
-        """Whether packed simulation may hand this recorder lane words
-        via :meth:`packed_accumulator` instead of unpacked booleans.
-
-        Requires toggle-count-only semantics (no coupling partners —
-        coupling needs per-trace transition *signs*) and weights that
-        are small non-negative integers, so counter-plane accumulation
-        stays bitwise-equal to sequential float32 adds (see
-        ``COUNTER_EXACT_BITS``).
-        """
-        if self._partners:
-            return False
-        if self._weights is not None:
-            w = self._weights
-            if (
-                not np.all(w == np.floor(w))
-                or np.any(w < 0)
-                or np.any(w >= 2**COUNTER_EXACT_BITS)
-            ):
-                return False
-        return True
-
-    def packed_accumulator(
-        self, n_traces: int, lanes: int
-    ) -> Optional["PackedToggleAccumulator"]:
-        """The packed-domain sink for this recorder, or ``None``.
-
-        Engines call this once per settle/replay; the accumulator is
-        reused across calls within a batch and flushed lazily when
-        :attr:`power` / :meth:`samples` is read.  Returns ``None`` when
-        :attr:`accepts_packed` is false — callers must then fall back
-        to the per-event unpack leg (:meth:`record_wire`).
-        """
-        if not self.accepts_packed:
-            return None
-        if n_traces != self.n_traces:
+        n = self.n_traces
+        width = n_lanes(n) if toggled.dtype == np.uint64 else n
+        if toggled.ndim != 2 or toggled.shape[1] != width:
             raise ValueError(
-                f"recorder holds {self.n_traces} traces, "
-                f"packed batch has {n_traces}"
+                f"sink holds {n} traces, got toggle rows of shape "
+                f"{toggled.shape} {toggled.dtype}"
             )
-        acc = self._packed_acc
-        if acc is None or acc.lanes != lanes:
-            if acc is not None:
-                acc.flush()
-            acc = PackedToggleAccumulator(self, lanes)
-            self._packed_acc = acc
-        return acc
+        obs_metrics.inc(_M_CALLS)
+        obs_metrics.inc(_M_ROWS, len(wires))
+        self.version += 1
+        bins = (times // self.bin_ps).astype(np.intp)
+        over = bins >= self.n_bins
+        if over.any():
+            self._note_clamped(times[over][0], int(over.sum()))
+            bins[over] = self.n_bins - 1
+        weights = (
+            np.ones(len(wires), dtype=np.int64)
+            if self._weights is None
+            else self._weights[wires]
+        )
+        _deposit(self.energy, bins, weights, toggled)
+        if self._partners:
+            coupled = np.flatnonzero(np.isin(wires, self._coupled))
+            if len(coupled):
+                self._couple(coupled, times, wires, toggled, new, bins)
 
-    def _note_clamped(self, t_ps, count: int = 1) -> None:
+    def _couple(self, coupled, times, wires, toggled, new, bins) -> None:
+        """Sign products of coincident partner transitions, in order.
+
+        Works on the rows as given (lanes or booleans): a pair's product
+        is +1 where both toggled in the same direction and -1 where they
+        toggled in opposite directions, deposited as ``both`` with
+        weight 1 plus ``opposite`` with weight -2.
+        """
+        window = self._coupling.window_ps
+        latest: Dict[int, Tuple[int, float]] = {}  # coupled wire -> (row, t)
+        a_rows: List[int] = []
+        b_rows: List[Tuple[np.ndarray, np.ndarray]] = []  # partner (toggled, new)
+        for i, w, t in zip(
+            coupled.tolist(), wires[coupled].tolist(), times[coupled].tolist()
+        ):
+            for partner in self._partners[w]:
+                here = latest.get(partner)
+                if here is not None:
+                    if t - here[1] <= window:
+                        a_rows.append(i)
+                        b_rows.append((toggled[here[0]], new[here[0]]))
+                else:
+                    last = self._last.get(partner)
+                    if last is not None and t - last[0] <= window:
+                        a_rows.append(i)
+                        b_rows.append(last[1:])
+            latest[w] = (i, t)
+        if a_rows:
+            a = np.asarray(a_rows, dtype=np.intp)
+            both = toggled[a] & np.stack([tog for tog, _ in b_rows])
+            opposite = both & (new[a] ^ np.stack([nw for _, nw in b_rows]))
+            _deposit(
+                self.coupling_sum,
+                np.concatenate([bins[a], bins[a]]),
+                np.repeat([1, -2], len(a)),
+                np.concatenate([both, opposite]),
+            )
+        for w, (i, t) in latest.items():
+            self._last[w] = (t, toggled[i].copy(), new[i].copy())
+
+    def _note_clamped(self, t_ps, count: int) -> None:
         self.stats["clamped_events"] += count
         obs_metrics.inc(_M_CLAMPED, count)
         if not self._clamp_warned:
@@ -257,58 +313,100 @@ class PowerRecorder:
             _LOG.warning("%s", msg)
             warnings.warn(msg, ClampedEventWarning, stacklevel=4)
 
-    def _weight(self, wire: int) -> float:
-        if self._weights is None:
-            return 1.0
-        return float(self._weights[wire])
+    def power(self) -> np.ndarray:
+        """The ``(n_traces, n_bins)`` float32 power matrix: ``E - c * S``
+        rounded once (see the module docstring)."""
+        with trace("power.flush", bins=self.n_bins):
+            p = self.energy  # int64 straight to float32: one rounding
+            if self.coupling_sum is not None:
+                c = float(np.float32(self._coupling.coefficient))
+                p = p - c * self.coupling_sum
+            return np.ascontiguousarray(p.T, dtype=np.float32)
+
+
+def toggle_sink(recorder, n_traces: int) -> Optional[Callable]:
+    """The per-settle sink the simulation engines feed for ``recorder``.
+
+    ``None`` for no recorder or a null recorder (nothing is recorded).
+    Recorders with a :class:`PackedToggleAccumulator` (``sink``) get its
+    :meth:`~PackedToggleAccumulator.add`; any other recorder gets an
+    adapter that calls its ``record_wire(t_ps, wire, toggled, new)``
+    once per row, in order, with boolean rows.
+    """
+    if recorder is None or getattr(recorder, "is_null", False):
+        return None
+    sink = getattr(recorder, "sink", None)
+    if sink is not None:
+        return sink.add
+    record_wire = recorder.record_wire
+
+    def per_wire(times, wires, toggled, new) -> None:
+        if toggled.dtype == np.uint64:
+            toggled = unpack_bool(toggled, n_traces)
+            new = unpack_bool(new, n_traces)
+        for t, w, tog, nw in zip(times.tolist(), wires.tolist(), toggled, new):
+            record_wire(t, w, tog, nw)
+
+    return per_wire
+
+
+class PowerRecorder:
+    """Accumulates transition energy into a (n_traces, n_bins) matrix.
+
+    The simulation engines feed :attr:`sink` once per settle;
+    :meth:`record_wire` / :meth:`record_batch` feed the same sink
+    directly.
+    """
+
+    def __init__(
+        self,
+        n_traces: int,
+        total_time_ps: int,
+        bin_ps: int = 250,
+        weights: Optional[np.ndarray] = None,
+        coupling: Optional[CouplingModel] = None,
+    ):
+        """Raises:
+            ValueError: ``bin_ps`` is not positive, or ``weights`` are
+                not non-negative integers.
+        """
+        if bin_ps <= 0:
+            raise ValueError("bin_ps must be positive")
+        self.n_traces = n_traces
+        self.bin_ps = bin_ps
+        self.n_bins = max(1, -(-total_time_ps // bin_ps))
+        #: Observability counters; ``clamped_events`` counts recorded
+        #: transitions whose time fell past the window (see
+        #: :class:`ClampedEventWarning`).
+        self.stats: Dict[str, int] = {"clamped_events": 0}
+        self.sink = PackedToggleAccumulator(
+            n_traces, self.n_bins, bin_ps, weights, coupling, self.stats
+        )
+        self._power: Optional[np.ndarray] = None
+        self._power_version = -1
+
+    @property
+    def power(self) -> np.ndarray:
+        """The accumulated (n_traces, n_bins) float32 power matrix,
+        converted from the exact sums when first read after a change."""
+        if self._power_version != self.sink.version:
+            self._power = self.sink.power()
+            self._power_version = self.sink.version
+        return self._power
 
     def record_wire(
         self, t_ps, wire: int, toggled: np.ndarray, new: np.ndarray
     ) -> None:
-        """Fast path: one wire's (pre-computed) transitions at ``t_ps``.
+        """One wire's boolean transitions at ``t_ps``.
 
         ``toggled`` must be ``old ^ new`` and already known non-zero.
         """
-        b = int(t_ps // self.bin_ps)
-        if b >= self.n_bins:
-            self._note_clamped(t_ps)
-            b = self.n_bins - 1
-        self._power[:, b] += toggled * np.float32(self._weight(wire))
-        if self._partners and wire in self._partners:
-            old = new ^ toggled
-            sign = new.astype(np.int8) - old.astype(np.int8)
-            self._couple_wire(self._power[:, b], t_ps, wire, sign)
-
-    def _couple_wire(
-        self, col: np.ndarray, t_ps, wire: int, sign: np.ndarray
-    ) -> None:
-        window = self._coupling.window_ps
-        c = self._coupling.coefficient
-        for partner in self._partners[wire]:
-            last = self._last_transition.get(partner)
-            if last is None or t_ps - last[0] > window:
-                continue
-            # Opposite-direction switching charges the Miller cap:
-            # more energy; same direction: less.  Sign convention is
-            # irrelevant for TVLA; magnitude is what leaks.
-            col -= c * (sign * last[1]).astype(np.float32)
-        self._last_transition[wire] = (t_ps, sign)
-
-    def add_energy(self, t_ps, energy: np.ndarray) -> None:
-        """Batched path: pre-summed transition energy of one instant.
-
-        The compiled replay engine sums ``weight(w) * toggled(w)`` over
-        every wire that switched at ``t_ps`` into one ``(n_traces,)``
-        vector and deposits it with a single call — one column update
-        per time bin instead of one per wire.  With the default
-        integer-valued weights the result is bit-identical to the
-        per-wire :meth:`record_wire` accumulation.
-        """
-        b = int(t_ps // self.bin_ps)
-        if b >= self.n_bins:
-            self._note_clamped(t_ps)
-            b = self.n_bins - 1
-        self._power[:, b] += energy
+        self.sink.add(
+            np.asarray([t_ps]),
+            np.asarray([wire], dtype=np.intp),
+            np.asarray(toggled, dtype=bool)[None],
+            np.asarray(new, dtype=bool)[None],
+        )
 
     def record_batch(
         self, t_ps: int, changes: Dict[int, Tuple[np.ndarray, np.ndarray]]
@@ -330,121 +428,6 @@ class PowerRecorder:
         return self.power
 
 
-class PackedToggleAccumulator:
-    """Packed-domain power accumulation: bit-sliced vertical counters.
-
-    The packed engine's toggle masks are ``(n_lanes,)`` uint64 words,
-    one trace per bit.  Instead of unpacking each mask to booleans for
-    a float32 add (the per-event leg that made ``campaign_packed``
-    *slower* than boolean), this sink keeps, per time bin, a list of
-    counter *bit-planes*: plane ``j`` holds bit ``j`` of every trace's
-    running toggle-energy count.  Adding a mask is a ripple-carry add
-    over Python big-ints (:func:`repro.sim.bitpack.counter_add`);
-    integer weights ``1 + fanout`` decompose in binary so a weight-
-    ``w`` toggle issues one shifted add per set bit of ``w``.  Planes
-    are unpacked to the ``(n_traces, n_bins)`` float32 matrix exactly
-    once, at :meth:`flush` (end of batch) — bitwise-identical to the
-    boolean engine while per-bin counts stay below
-    ``2**COUNTER_EXACT_BITS`` (guarded loudly, see
-    :class:`PackedAccumulatorOverflowWarning`).
-
-    Obtain instances via :meth:`PowerRecorder.packed_accumulator`, not
-    directly — the recorder owns flushing and the compatibility check.
-    """
-
-    def __init__(self, recorder: PowerRecorder, lanes: int):
-        self.recorder = recorder
-        self.lanes = lanes
-        self.bin_ps = recorder.bin_ps
-        self.n_bins = recorder.n_bins
-        # bin -> counter planes (list of big-ints, LSB plane first)
-        self._bins: Dict[int, List[int]] = {}
-        # wire -> set-bit positions of its integer weight
-        self._shifts: Dict[int, Tuple[int, ...]] = {}
-        obs_metrics.inc(_M_ACCUMULATORS)
-
-    def _wire_shifts(self, wire: int) -> Tuple[int, ...]:
-        shifts = self._shifts.get(wire)
-        if shifts is None:
-            weights = self.recorder._weights
-            w = 1 if weights is None else int(weights[wire])
-            shifts = tuple(
-                j for j in range(w.bit_length()) if (w >> j) & 1
-            )
-            self._shifts[wire] = shifts
-        return shifts
-
-    def add(self, t_ps, wire: int, toggled) -> None:
-        """Accumulate one wire's packed toggle mask at time ``t_ps``.
-
-        ``toggled`` is the ``(n_lanes,)`` uint64 ``old ^ new`` mask —
-        or that mask already converted to a big-int (the compiled
-        replay loop converts once, reusing the int as its liveness
-        test, so the hot path never touches numpy here).  Pad bits
-        ride along harmlessly — they are dropped at unpack time.
-        """
-        mask = (
-            toggled
-            if type(toggled) is int
-            else int.from_bytes(toggled.tobytes(), "little")
-        )
-        b = int(t_ps // self.bin_ps)
-        if b >= self.n_bins:
-            self.recorder._note_clamped(t_ps)
-            b = self.n_bins - 1
-        planes = self._bins.get(b)
-        if planes is None:
-            planes = []
-            self._bins[b] = planes
-        shifts = self._shifts.get(wire)
-        if shifts is None:
-            shifts = self._wire_shifts(wire)
-        for shift in shifts:
-            counter_add(planes, mask, shift)
-
-    def flush(self) -> None:
-        """Unpack every pending counter bin into the recorder's float32
-        power matrix and clear the planes.  Idempotent."""
-        if not self._bins:
-            return
-        with trace("power.flush", bins=len(self._bins)):
-            rec = self.recorder
-            power = rec._power
-            n = rec.n_traces
-            obs_metrics.inc(_M_FLUSHES)
-            max_depth = 0
-            for b, planes in self._bins.items():
-                depth = len(planes)
-                if depth > max_depth:
-                    max_depth = depth
-                if depth > rec.stats["max_counter_planes"]:
-                    rec.stats["max_counter_planes"] = depth
-                counts = counter_unpack(planes, self.lanes, n)
-                if depth > COUNTER_EXACT_BITS and int(
-                    counts.max(initial=0)
-                ) >= (1 << COUNTER_EXACT_BITS):
-                    obs_metrics.inc(_M_OVERFLOW_BINS)
-                    rec.stats["overflow_bins"] += 1
-                    msg = (
-                        f"packed counter for bin {b} reached "
-                        f"{int(counts.max())} >= 2^{COUNTER_EXACT_BITS}: "
-                        "beyond the float32 exactness bound.  The flushed "
-                        "value is correctly rounded (single int->float32 "
-                        "conversion) but may differ bitwise from the "
-                        "boolean engine's sequential accumulation"
-                    )
-                    _LOG.warning("%s", msg)
-                    warnings.warn(
-                        msg, PackedAccumulatorOverflowWarning, stacklevel=3
-                    )
-                # int64 -> float32 is a single correct rounding; below the
-                # exactness bound it is the exact integer either way.
-                power[:, b] += counts.astype(np.float32)
-            if max_depth:
-                obs_metrics.max_gauge(_M_MAX_PLANES, max_depth)
-            self._bins.clear()
-
-
 class TransientRecorder:
     """Captures every wire transition verbatim instead of binning energy.
 
@@ -452,15 +435,11 @@ class TransientRecorder:
     trace, this recorder keeps the full ``(time, wire, toggled, new)``
     event stream — the raw material of a *glitch-extended probe*
     (:mod:`repro.verify`): the complete transient value sequence each
-    wire takes while the logic settles.
-
-    Only the interpreted simulation path emits per-wire transitions
-    (``compile_schedules=False``); the compiled replay engine pre-sums
-    energy across wires, which destroys exactly the information this
-    recorder exists to keep, so :meth:`add_energy` refuses to run.
-    The bit-packed engine (``pack_traces=True``) is refused for the
-    same reason — the simulator checks :attr:`requires_transients` and
-    raises before simulating (see :mod:`repro.sim.bitpack`).
+    wire takes while the logic settles.  Both engines deliver it through
+    :func:`toggle_sink`, one :meth:`record_wire` per transition in
+    recording order.  The bit-packed engine (``pack_traces=True``) is
+    refused: the simulator checks :attr:`requires_transients` and raises
+    before simulating (see :mod:`repro.sim.bitpack`).
     """
 
     #: The simulator keeps the exact boolean transient path for this
@@ -486,12 +465,6 @@ class TransientRecorder:
             if toggled.any():
                 self.record_wire(t_ps, wire, toggled, new)
 
-    def add_energy(self, t_ps, energy) -> None:
-        raise RuntimeError(
-            "TransientRecorder needs per-wire transitions; run the "
-            "simulator with compile_schedules=False"
-        )
-
 
 class NullRecorder:
     """A recorder that discards everything (pure functional simulation).
@@ -514,7 +487,4 @@ class NullRecorder:
         pass
 
     def record_wire(self, t_ps, wire, toggled, new) -> None:
-        pass
-
-    def add_energy(self, t_ps, energy) -> None:
         pass

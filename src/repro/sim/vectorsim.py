@@ -28,11 +28,17 @@ Schedule compilation
 --------------------
 The same data independence makes the *control flow* of ``settle``
 identical across batches: the first call with a given input-event
-timing pattern records the evaluation schedule via
-:mod:`repro.sim.compiled`, and subsequent calls replay it as
-straight-line numpy (no heap, no per-event dicts, batched power
-updates) with transition-for-transition identical results.  Pass
-``compile_schedules=False`` to force the interpreted path.
+timing pattern compiles it into a levelised program via
+:mod:`repro.sim.compiled`, and subsequent calls replay it as a few
+numpy block ops per dataflow level (no heap, no per-event dicts) with
+transition-for-transition identical results.  The interpreted loop
+stays as the differential oracle: pass ``compile_schedules=False`` to
+force it.
+
+Recording
+---------
+Both paths hand a settle's live transitions, in time order, to the
+recorder's sink in one call (:func:`repro.sim.power.toggle_sink`).
 
 Packed trace lanes
 ------------------
@@ -40,10 +46,9 @@ Packed trace lanes
 stores wire state as ``uint64`` lanes of 64 traces each
 (:mod:`repro.sim.bitpack`): every gate evaluation and toggle mask
 becomes a bitwise op on 64x less data, while liveness guards, event
-accounting and — via lazy unpacking of toggling wires only — the
-recorded power stay bit-identical to the boolean engine.
-:class:`~repro.sim.power.TransientRecorder` needs the boolean per-wire
-transient stream and is refused under packing.
+accounting and the recorded power stay bit-identical to the boolean
+engine.  :class:`~repro.sim.power.TransientRecorder` needs the boolean
+per-wire transient stream and is refused under packing.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from .bitpack import (
 )
 from ..obs.trace import trace
 from .compiled import lookup_or_compile, replay
-from .power import PowerRecorder, default_weights
+from .power import PowerRecorder, default_weights, toggle_sink
 
 __all__ = ["VectorSimulator", "InputEvent", "SimulationError", "budget_error"]
 
@@ -256,6 +261,7 @@ class VectorSimulator:
                 "pack_traces=False"
             )
         events = [(t, wire, self._coerce(vals)) for t, wire, vals in input_events]
+        sink = toggle_sink(recorder, self.n_traces)
 
         if self.compile_schedules:
             program = lookup_or_compile(
@@ -269,11 +275,10 @@ class VectorSimulator:
                         program,
                         self.values,
                         [vals for _, _, vals in events],
-                        recorder,
+                        sink,
                         t_offset,
                         max_events,
                         self.circuit,
-                        n_traces=self.n_traces if self.packed else None,
                     )
                 self.events_processed += n_evals
                 return last_t
@@ -297,17 +302,11 @@ class VectorSimulator:
         budget = max_events
         values = self.values
         fanout = self._comb_fanout
-        record = None
-        acc_add = None
-        packed = self.packed
-        n_real = self.n_traces
-        if recorder is not None and not getattr(recorder, "is_null", False):
-            if packed and hasattr(recorder, "packed_accumulator"):
-                acc = recorder.packed_accumulator(n_real, values.shape[1])
-                if acc is not None:
-                    acc_add = acc.add
-            if acc_add is None:
-                record = recorder.record_wire
+        # live transitions in recording order, for one sink call
+        rec_t: List[float] = []
+        rec_w: List[int] = []
+        rec_tog: List[np.ndarray] = []
+        rec_new: List[np.ndarray] = []
         while heap:
             t = heapq.heappop(heap)
             queued.discard(t)
@@ -319,22 +318,11 @@ class VectorSimulator:
                 toggled = values[wire] ^ new
                 if not toggled.any():
                     continue
-                if acc_add is not None:
-                    # Packed-domain recording: counter-plane add, no
-                    # unpacking inside the event loop.
-                    acc_add(t_offset + t, wire, toggled)
-                elif record is not None:
-                    if packed:
-                        # Lazy unpack: only wires that actually toggled
-                        # reach the boolean recorder interface.
-                        record(
-                            t_offset + t,
-                            wire,
-                            unpack_bool(toggled, n_real),
-                            unpack_bool(new, n_real),
-                        )
-                    else:
-                        record(t_offset + t, wire, toggled, new)
+                if sink is not None:
+                    rec_t.append(t_offset + t)
+                    rec_w.append(wire)
+                    rec_tog.append(toggled)
+                    rec_new.append(new)
                 values[wire] = new
                 affected.extend(fanout.get(wire, ()))
             # 2. Re-evaluate affected gates once each; schedule outputs.
@@ -362,6 +350,13 @@ class VectorSimulator:
                 else:
                     out = g.cell.evaluate(*(values[w] for w in ins))
                 schedule(t + g.delay_ps, g.output, out)
+        if rec_w:
+            sink(
+                np.asarray(rec_t),
+                np.asarray(rec_w, dtype=np.intp),
+                np.stack(rec_tog),
+                np.stack(rec_new),
+            )
         return last_t
 
     # ------------------------------------------------------------------

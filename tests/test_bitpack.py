@@ -170,114 +170,3 @@ def test_popcount_of_packed_traces():
     rng = np.random.default_rng(3)
     values = rng.integers(0, 2, 256).astype(bool)  # lane-aligned: no pad
     assert popcount(pack_bool(values)).sum() == values.sum()
-
-
-# ----------------------------------------------------------------------
-# counter planes (packed-domain power accumulation kernels)
-# ----------------------------------------------------------------------
-def test_lanes_to_int_preserves_bit_positions():
-    """Trace i's bit keeps position i in the big-int representation."""
-    for i in [0, 1, 63, 64, 70, 127]:
-        values = np.zeros(128, dtype=bool)
-        values[i] = True
-        assert bitpack.lanes_to_int(pack_bool(values)) == 1 << i
-
-
-def test_counter_add_matches_integer_sums():
-    """Ripple-carry adds over bit-planes == per-trace integer sums."""
-    rng = np.random.default_rng(10)
-    n = 100  # ragged: 2 lanes, 28 pad bits
-    lanes = n_lanes(n)
-    planes = []
-    expected = np.zeros(n, dtype=np.int64)
-    for _ in range(50):
-        row = rng.integers(0, 2, n).astype(bool)
-        bitpack.counter_add(planes, bitpack.lanes_to_int(pack_bool(row)))
-        expected += row
-    got = bitpack.counter_unpack(planes, lanes, n)
-    assert np.array_equal(got, expected)
-    # 50 adds of 0/1 fit in 6 bits
-    assert len(planes) <= 6
-
-
-def test_counter_add_shift_scales_by_power_of_two():
-    """A shifted add contributes mask * 2**shift — the binary weight
-    decomposition: weight 5 = shifts (0, 2)."""
-    rng = np.random.default_rng(11)
-    n = 70
-    lanes = n_lanes(n)
-    planes = []
-    expected = np.zeros(n, dtype=np.int64)
-    for _ in range(20):
-        row = rng.integers(0, 2, n).astype(bool)
-        mask = bitpack.lanes_to_int(pack_bool(row))
-        bitpack.counter_add(planes, mask, 0)
-        bitpack.counter_add(planes, mask, 2)
-        expected += row.astype(np.int64) * 5
-    assert np.array_equal(bitpack.counter_unpack(planes, lanes, n), expected)
-
-
-def test_counter_add_grows_planes_on_demand():
-    planes = []
-    bitpack.counter_add(planes, 0b1, 3)
-    assert planes == [0, 0, 0, 0b1]
-    bitpack.counter_add(planes, 0b1, 3)  # 8 + 8 = 16: carry into plane 4
-    assert planes == [0, 0, 0, 0, 0b1]
-
-
-def test_counter_unpack_drops_pad_bits():
-    n = 5
-    row = np.ones(n, dtype=bool)  # pad replicates trace 4 (True)
-    planes = []
-    bitpack.counter_add(planes, bitpack.lanes_to_int(pack_bool(row)))
-    counts = bitpack.counter_unpack(planes, 1, n)
-    assert counts.shape == (n,)
-    assert np.array_equal(counts, np.ones(n, dtype=np.int64))
-
-
-# ----------------------------------------------------------------------
-# recorder-aware "auto" resolution
-# ----------------------------------------------------------------------
-class _RecorderStub:
-    pass
-
-
-def test_recorder_accepts_packed_duck_typing():
-    from repro.sim.power import CouplingModel, PowerRecorder, NullRecorder
-    from repro.sim.power import TransientRecorder
-
-    assert bitpack.recorder_accepts_packed(None) is True
-    assert bitpack.recorder_accepts_packed(NullRecorder()) is True
-    assert bitpack.recorder_accepts_packed(TransientRecorder()) is False
-    # a recorder-shaped object without accepts_packed: no packed path
-    assert bitpack.recorder_accepts_packed(_RecorderStub()) is False
-    plain = PowerRecorder(8, 1000)
-    assert bitpack.recorder_accepts_packed(plain) is True
-    coupled = PowerRecorder(
-        8, 1000, coupling=CouplingModel(pairs=[(0, 1)])
-    )
-    assert bitpack.recorder_accepts_packed(coupled) is False
-
-
-def test_resolve_auto_declines_for_unpackable_recorder():
-    from repro.sim.power import CouplingModel, PowerRecorder
-
-    coupled = PowerRecorder(
-        128, 1000, coupling=CouplingModel(pairs=[(0, 1)])
-    )
-    bitpack.reset_auto_pack_warning()
-    with pytest.warns(bitpack.AutoPackFallbackWarning):
-        assert resolve_pack_traces("auto", 128, coupled) is False
-    # one-shot: the second resolution stays silent
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error")
-        assert resolve_pack_traces("auto", 128, coupled) is False
-    bitpack.reset_auto_pack_warning()
-    # explicit True is still honoured (slow unpack leg, but correct)
-    assert resolve_pack_traces(True, 128, coupled) is True
-    # a packable recorder keeps the size-only behaviour
-    plain = PowerRecorder(128, 1000)
-    assert resolve_pack_traces("auto", 128, plain) is True
-    assert resolve_pack_traces("auto", 63, plain) is False

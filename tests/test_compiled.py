@@ -23,12 +23,11 @@ from repro.sim.vectorsim import SimulationError, VectorSimulator
 class LoggingRecorder:
     """Records every transition verbatim.
 
-    ``_partners`` is truthy, which forces the replay engine onto the
-    exact per-wire recording path — so the log captures the *order* of
-    recorded transitions, not just their sum.
+    Not a :class:`PowerRecorder`, so both engines deliver each settle's
+    transitions to :meth:`record_wire` one by one, in recording order —
+    the log captures the *order* of recorded transitions, not just
+    their sum.
     """
-
-    _partners = True
 
     def __init__(self):
         self.log = []

@@ -142,3 +142,37 @@ def test_coupling_changes_power_only_for_pd():
     _, c1 = ff.run_batch(pt, ky, RandomnessSource(8), coupling_coefficient=5.0)
     _, c2 = ff.run_batch(pt, ky, RandomnessSource(8), coupling_coefficient=0.0)
     assert np.array_equal(c1, c2)  # FF engine has no coupled delay lines
+
+
+@pytest.mark.parametrize(
+    "variant,pack_traces,coupling",
+    [("ff", True, 0.0), ("pd", False, 5.0), ("pd", True, 5.0)],
+)
+def test_batch_recorder_freed_on_return(monkeypatch, variant, pack_traces, coupling):
+    """A batch's recorder (and its (n, n_bins) sums) is freed by
+    reference counting when run_batch returns: no reference cycle keeps
+    it alive until a cyclic collection."""
+    import gc
+    import weakref
+
+    from repro.sim import power
+
+    refs = []
+    init = power.PowerRecorder.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(power.PowerRecorder, "__init__", spy)
+    pt, ky = blocks(64, seed=4)
+    gc.disable()
+    try:
+        engine(variant).run_batch(
+            pt, ky, RandomnessSource(2), coupling_coefficient=coupling,
+            pack_traces=pack_traces,
+        )
+        assert len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        gc.enable()

@@ -228,7 +228,6 @@ def test_null_recorder_methods_are_noops():
     assert rec.is_null
     rec.record_wire(0, 3, np.ones(4, bool), np.zeros(4, bool))
     rec.record_batch(0, [(1, np.ones(4, bool), np.zeros(4, bool))])
-    rec.add_energy(0, np.zeros(4, np.float32))
     assert rec.n_bins == 0
 
 
@@ -351,14 +350,14 @@ def test_bench_runs_campaign_with_enough_cpus(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# packed-domain power accumulation (counter planes, PR 8)
+# packed-domain power recording
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("compiled", [False, True])
 def test_plain_recorder_power_bitwise_equal_both_paths(compiled):
-    """A coupling-free PowerRecorder takes the counter-plane path in
-    packed mode (both the compiled replay and the interpreted loop);
-    power must stay float-for-float identical to the boolean engine on
-    a ragged batch with weight > 1 wires (1 + fanout)."""
+    """A coupling-free PowerRecorder fed packed lanes (by both the
+    compiled replay and the interpreted loop) must stay float-for-float
+    identical to the boolean engine on a ragged batch with weight > 1
+    wires (1 + fanout)."""
     c = random_circuit(11, jitter=True)
     rng = np.random.default_rng(111)
     n = 90  # ragged final lane
@@ -374,10 +373,9 @@ def test_plain_recorder_power_bitwise_equal_both_paths(compiled):
     assert np.array_equal(powers[0], powers[1])
 
 
-def test_packed_acquire_uses_counter_planes():
-    """End-to-end packed acquisition must actually reach the packed
-    accumulator — if this fails, the engine silently fell back to the
-    per-event unpack leg (the 0.98x regression)."""
+def test_packed_acquire_feeds_one_sink_call_per_settle():
+    """End-to-end packed acquisition bins a settle's transitions in one
+    sink call (no per-event recording)."""
     from repro.sim.power import (
         packed_accumulator_counters,
         reset_packed_accumulator_counters,
@@ -387,27 +385,25 @@ def test_packed_acquire_uses_counter_planes():
     source = SequenceSource(INPUT_NAMES, n_instances=4, pack_traces=True)
     source.acquire(np.ones(128, dtype=bool), np.random.default_rng(0))
     counters = packed_accumulator_counters()
-    assert counters["accumulators"] >= 1
-    assert counters["flushes"] >= 1
-    assert counters["max_planes"] >= 1
-    assert counters["overflow_bins"] == 0
+    assert counters["calls"] == 1  # the acquisition is one settle
+    assert counters["rows"] > 1
 
 
-def test_engine_auto_pack_declines_with_coupling_recorder(
-    des_engine, monkeypatch
-):
-    """pack_traces='auto' + a coupling recorder: the engine must fall
-    back to the boolean path (one-shot AutoPackFallbackWarning) and
-    produce the exact boolean result — not run packed into the slow
-    per-event unpack leg."""
-    from repro.sim.bitpack import (
-        AutoPackFallbackWarning,
-        reset_auto_pack_warning,
-    )
+def test_engine_auto_packs_with_coupling_recorder(des_engine, monkeypatch):
+    """pack_traces='auto' + a coupling recorder: the batch runs packed
+    (the sink sees lanes) and matches the boolean engine bitwise."""
+    from repro.sim import power
 
     monkeypatch.setattr(
         des_engine, "coupling_pairs", [(0, 1)], raising=False
     )
+    dtypes = set()
+    add = power.PackedToggleAccumulator.add
+
+    def spy(self, times, wires, toggled, new):
+        dtypes.add(toggled.dtype)
+        return add(self, times, wires, toggled, new)
+
     rng = np.random.default_rng(21)
     n = 66
     pt = int_to_bitarray(rng.integers(0, 2**63, n, dtype=np.uint64), 64)
@@ -416,34 +412,11 @@ def test_engine_auto_pack_declines_with_coupling_recorder(
         pt, ky, RandomnessSource(11),
         coupling_coefficient=0.25, pack_traces=False,
     )
-    reset_auto_pack_warning()
-    with pytest.warns(AutoPackFallbackWarning):
-        ct_a, p_a = des_engine.run_batch(
-            pt, ky, RandomnessSource(11),
-            coupling_coefficient=0.25, pack_traces="auto",
-        )
-    reset_auto_pack_warning()
+    monkeypatch.setattr(power.PackedToggleAccumulator, "add", spy)
+    ct_a, p_a = des_engine.run_batch(
+        pt, ky, RandomnessSource(11),
+        coupling_coefficient=0.25, pack_traces="auto",
+    )
+    assert dtypes == {np.dtype(np.uint64)}
     assert np.array_equal(ct_b, ct_a)
     assert np.array_equal(p_b, p_a)
-
-
-def test_suggest_batch_size_skips_lane_rounding_for_coupled_recorder():
-    from repro.sim.bitpack import reset_auto_pack_warning
-    from repro.sim.power import CouplingModel, PowerRecorder
-
-    coupled = PowerRecorder(
-        64, 1000, coupling=CouplingModel(pairs=[(0, 1)])
-    )
-    reset_auto_pack_warning()
-    with pytest.warns(Warning):
-        batch = suggest_batch_size(
-            10_000, 3, pack_traces="auto", recorder=coupled
-        )
-    reset_auto_pack_warning()
-    assert batch == 833  # boolean heuristic: no 64-trace rounding
-    plain = PowerRecorder(64, 1000)
-    assert (
-        suggest_batch_size(10_000, 3, pack_traces="auto", recorder=plain)
-        % 64
-        == 0
-    )

@@ -151,7 +151,7 @@ def test_clamp_warns_once_and_counts_events():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rec.record_batch(6000, {0: ch([1], [0])})
-        rec.add_energy(7000, np.ones(1, dtype=np.float32))
+        rec.record_wire(7000, 0, np.ones(1, bool), np.ones(1, bool))
     assert rec.stats["clamped_events"] == 3
     assert rec.power[0, -1] == 3.0
 
@@ -159,96 +159,105 @@ def test_clamp_warns_once_and_counts_events():
 def test_in_range_events_not_counted_as_clamped():
     rec = PowerRecorder(1, 1000, bin_ps=250)
     rec.record_batch(999, {0: ch([0], [1])})
-    rec.add_energy(0, np.ones(1, dtype=np.float32))
+    rec.record_wire(0, 0, np.ones(1, bool), np.ones(1, bool))
     assert rec.stats["clamped_events"] == 0
 
 
 # ----------------------------------------------------------------------
-# packed accumulator protocol
+# the sink: one add per settle, exact integer sums
 # ----------------------------------------------------------------------
-def test_accepts_packed_gates_on_coupling_and_weights():
-    assert PowerRecorder(8, 1000).accepts_packed is True
-    w_int = np.array([1.0, 5.0], dtype=np.float32)
-    assert PowerRecorder(8, 1000, weights=w_int).accepts_packed is True
-    coupled = PowerRecorder(
-        8, 1000, coupling=CouplingModel(pairs=[(0, 1)])
-    )
-    assert coupled.accepts_packed is False
-    assert coupled.packed_accumulator(8, 1) is None
-    w_frac = np.array([1.5, 1.0], dtype=np.float32)
-    assert PowerRecorder(8, 1000, weights=w_frac).accepts_packed is False
-    w_neg = np.array([-1.0, 1.0], dtype=np.float32)
-    assert PowerRecorder(8, 1000, weights=w_neg).accepts_packed is False
-    w_huge = np.array([float(2**24)], dtype=np.float32)
-    assert PowerRecorder(8, 1000, weights=w_huge).accepts_packed is False
+def _settle_rows(rng, n, n_rows, n_wires):
+    """Random time-ordered toggle rows of one settle (boolean)."""
+    times = np.sort(rng.integers(0, 2600, n_rows)).astype(float)
+    wires = rng.integers(0, n_wires, n_rows)
+    toggled = rng.integers(0, 2, (n_rows, n)).astype(bool)
+    toggled[:, 0] = True  # every row toggles in some trace
+    new = rng.integers(0, 2, (n_rows, n)).astype(bool)
+    return times, wires, toggled, new
 
 
+def test_weights_must_be_nonnegative_integers():
+    PowerRecorder(8, 1000, weights=np.array([1.0, 5.0], dtype=np.float32))
+    for bad in ([1.5, 1.0], [-1.0, 1.0]):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            PowerRecorder(8, 1000, weights=np.array(bad, dtype=np.float32))
+
+
+@pytest.mark.filterwarnings("ignore::repro.sim.power.ClampedEventWarning")
 def test_packed_accumulator_matches_record_wire():
-    """Counter-plane accumulation == sequential float32 adds, bitwise,
-    including ragged pad bits and weight > 1 wires."""
-    from repro.sim.bitpack import n_lanes, pack_bool
+    """One packed sink call == per-row boolean record_wire, bitwise,
+    including ragged pad bits, weight > 1 wires, clamping and
+    coupling across the rows of one call and across calls."""
+    from repro.sim.bitpack import pack_bool
 
     rng = np.random.default_rng(0)
     n = 100  # ragged final lane
-    weights = np.array([1.0, 3.0, 7.0], dtype=np.float32)
-    boolean = PowerRecorder(n, 2000, bin_ps=250, weights=weights)
-    packed = PowerRecorder(n, 2000, bin_ps=250, weights=weights)
-    acc = packed.packed_accumulator(n, n_lanes(n))
-    assert acc is not None
-    assert packed.packed_accumulator(n, n_lanes(n)) is acc  # reused
-    for t in (0, 130, 600, 1999, 2500):  # 2500 clamps
-        for wire in (0, 1, 2):
-            toggled = rng.integers(0, 2, n).astype(bool)
-            if not toggled.any():
-                continue
-            new = rng.integers(0, 2, n).astype(bool)
-            boolean.record_wire(t, wire, toggled, new)
-            acc.add(t, wire, pack_bool(toggled))
-    assert np.array_equal(packed.power, boolean.power)
-    assert packed.stats["clamped_events"] == boolean.stats["clamped_events"]
-    assert packed.stats["max_counter_planes"] > 0
+    weights = np.array([1.0, 3.0, 7.0, 2.0], dtype=np.float32)
+    coupling = CouplingModel(pairs=[(0, 1), (1, 3)], coefficient=5.0)
+    per_row = PowerRecorder(n, 2000, bin_ps=250, weights=weights, coupling=coupling)
+    packed = PowerRecorder(n, 2000, bin_ps=250, weights=weights, coupling=coupling)
+    for _ in range(3):  # times past 2000 ps clamp
+        times, wires, toggled, new = _settle_rows(rng, n, 40, 4)
+        for row in zip(times, wires, toggled, new):
+            per_row.record_wire(*row)
+        packed.sink.add(times, wires, pack_bool(toggled), pack_bool(new))
+    assert per_row.stats["clamped_events"] > 0
+    assert np.array_equal(packed.power, per_row.power)
+    assert packed.stats == per_row.stats
 
 
 def test_packed_accumulator_rejects_trace_mismatch():
     rec = PowerRecorder(8, 1000)
     with pytest.raises(ValueError):
-        rec.packed_accumulator(16, 1)
+        rec.sink.add(
+            np.zeros(1), np.zeros(1, np.intp), np.ones((1, 2), np.uint64),
+            np.ones((1, 2), np.uint64),
+        )
+    with pytest.raises(ValueError):
+        rec.sink.add(
+            np.zeros(1), np.zeros(1, np.intp), np.ones((1, 16), bool),
+            np.ones((1, 16), bool),
+        )
 
 
-def test_power_read_flushes_pending_planes():
-    from repro.sim.bitpack import pack_bool
-
+def test_power_read_reflects_later_adds():
     rec = PowerRecorder(4, 1000, bin_ps=250)
-    acc = rec.packed_accumulator(4, 1)
-    acc.add(0, 0, pack_bool(np.array([1, 0, 1, 0], bool)))
-    assert rec._power[0, 0] == 0.0  # nothing flushed yet
-    assert rec.power[0, 0] == 1.0  # property flushes
+    rec.record_wire(0, 0, np.array([1, 0, 1, 0], bool), np.ones(4, bool))
+    assert rec.power[0, 0] == 1.0
     assert rec.samples()[2, 0] == 1.0
-    assert rec.power[0, 0] == 1.0  # flush is idempotent
+    rec.record_wire(10, 0, np.array([1, 0, 0, 0], bool), np.zeros(4, bool))
+    assert rec.power[0, 0] == 2.0  # the cached float32 matrix is refreshed
+    assert rec.power.dtype == np.float32
 
 
-def test_packed_overflow_warns_loudly_not_silently_drifts():
-    """Two weight-2^23 toggles push a bin's count to 2^24: the flush
-    must warn (PackedAccumulatorOverflowWarning) and deposit the
-    correctly-rounded value instead of drifting quietly."""
-    from repro.sim.bitpack import pack_bool
-    from repro.sim.power import PackedAccumulatorOverflowWarning
-
-    w = np.array([float(2**23)], dtype=np.float32)
-    rec = PowerRecorder(2, 1000, bin_ps=1000, weights=w)
-    assert rec.accepts_packed  # 2^23 < 2^24: still integer-exact
-    acc = rec.packed_accumulator(2, 1)
-    both = pack_bool(np.array([1, 1], bool))
-    acc.add(0, 0, both)
-    acc.add(0, 0, both)  # count per trace: 2 * 2^23 = 2^24
-    with pytest.warns(PackedAccumulatorOverflowWarning):
-        power = rec.power
-    assert power[0, 0] == float(2**24)  # exactly representable here
-    assert rec.stats["overflow_bins"] == 1
+def test_large_bin_sums_stay_exact():
+    """Energy is summed in int64 and rounded to float32 once: a bin at
+    2^24 + 1 reads as its correctly rounded float32 value, without the
+    drift of per-event float32 accumulation."""
+    w = np.array([float(2**23), 1.0], dtype=np.float32)
+    rec = PowerRecorder(1, 1000, bin_ps=1000, weights=w)
+    one = np.ones(1, bool)
+    for wire in (0, 0, 1):
+        rec.record_wire(0, wire, one, one)
+    assert rec.sink.energy[0, 0] == 2**24 + 1
+    assert rec.power[0, 0] == np.float32(2**24 + 1)
 
 
+def test_coupling_rounds_once():
+    """A non-dyadic coefficient is applied to the exact sums and rounded
+    once: the result is the correctly rounded E - c * S."""
+    cm = CouplingModel(pairs=[(0, 1)], coefficient=0.05)
+    rec = PowerRecorder(1, 1000, bin_ps=1000, coupling=cm)
+    up = np.ones(1, bool)
+    for k in range(7):
+        rec.record_wire(10 * k, k % 2, up, up)
+    c = float(np.float32(0.05))
+    assert rec.sink.coupling_sum[0, 0] == 6
+    assert rec.power[0, 0] == np.float32(7 - 6 * c)
+
+
+@pytest.mark.filterwarnings("ignore::repro.sim.power.ClampedEventWarning")
 def test_packed_accumulator_counters_telemetry():
-    from repro.sim.bitpack import pack_bool
     from repro.sim.power import (
         packed_accumulator_counters,
         reset_packed_accumulator_counters,
@@ -256,11 +265,7 @@ def test_packed_accumulator_counters_telemetry():
 
     reset_packed_accumulator_counters()
     rec = PowerRecorder(4, 1000, bin_ps=250)
-    acc = rec.packed_accumulator(4, 1)
-    acc.add(0, 0, pack_bool(np.ones(4, bool)))
-    _ = rec.power
-    counters = packed_accumulator_counters()
-    assert counters["accumulators"] == 1
-    assert counters["flushes"] == 1
-    assert counters["max_planes"] >= 1
-    assert counters["overflow_bins"] == 0
+    times, wires, toggled, new = _settle_rows(np.random.default_rng(1), 4, 5, 2)
+    rec.sink.add(times, wires, toggled, new)
+    rec.record_wire(0, 0, np.ones(4, bool), np.ones(4, bool))
+    assert packed_accumulator_counters() == {"calls": 2, "rows": 6}
