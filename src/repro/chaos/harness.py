@@ -123,11 +123,19 @@ class ScenarioResult:
         """The supervisor's contract held for this scenario.
 
         Injection fired, no shm orphans, and the run either recovered
-        bitwise or died with a structured, attributable error.
+        bitwise or died with a structured, attributable error.  A
+        checkpoint mode must also have quarantined the damaged file and
+        resumed from the previous generation: a silent restart from
+        scratch is bitwise equal too, but exercises no fallback.
         """
         outcome = (self.recovered and self.bitwise) or (
             not self.recovered and self.structured_error is not None
         )
+        if self.mode in CHECKPOINT_MODES and self.recovered:
+            outcome = outcome and (
+                self.stats.get("checkpoints_quarantined", 0) >= 1
+                and self.stats.get("checkpoint_restores", 0) == 1
+            )
         return self.injected and outcome and not self.orphaned_segments
 
     def row(self) -> List[str]:
@@ -176,10 +184,10 @@ def run_chaos_scenario(
     """Run one failure mode against a supervised campaign.
 
     Worker modes run a 2-worker pool with tight watchdog budgets and
-    expect in-run recovery.  Checkpoint modes interrupt the campaign at
-    the injection point, damage the checkpoint that interruption wrote,
-    then resume — expecting the loader to quarantine the damage and
-    fall back to the previous generation.
+    expect in-run recovery.  Checkpoint modes checkpoint after every
+    batch, interrupt the campaign at the injection point, damage the
+    last checkpoint written, then resume — expecting the loader to
+    quarantine the damage and fall back to the previous generation.
 
     Returns a :class:`ScenarioResult`; never raises for in-contract
     failures (``result.ok`` carries the verdict).
@@ -217,19 +225,21 @@ def run_chaos_scenario(
         )
         try:
             if mode in CHECKPOINT_MODES:
-                # Phase 1: run serially to the injection point; the
-                # interruption's own flush is the save the policy damages.
+                # Phase 1: run serially to the injection point, writing
+                # after every batch so a previous generation exists; the
+                # policy damages the save of the injection batch.
+                per_batch = {**common, "checkpoint_interval_s": 0}
                 try:
                     run_campaign_supervised(
                         source,
                         config,
                         stop_after_batches=policy.inject_at_batch,
-                        **{**common, "n_workers": 1},
+                        **{**per_batch, "n_workers": 1},
                     )
                 except CampaignInterrupted:
                     pass
                 # Phase 2: resume over the damaged file.
-                result = run_campaign_supervised(source, config, **common)
+                result = run_campaign_supervised(source, config, **per_batch)
             else:
                 result = run_campaign_supervised(source, config, **common)
         except _STRUCTURED as exc:

@@ -33,12 +33,9 @@ from .transport import (
 from .supervisor import (
     CampaignInterrupted,
     SupervisorCheckpoint,
-    load_checkpoint,
     load_checkpoint_supervised,
     quarantine_checkpoint,
-    run_campaign_resilient,
     run_campaign_supervised,
-    save_checkpoint,
     save_checkpoint_supervised,
     validate_runner_args,
 )
@@ -71,10 +68,7 @@ __all__ = [
     "resolve_transport",
     "shared_memory_available",
     "unpack_shard",
-    "load_checkpoint",
     "quarantine_checkpoint",
-    "run_campaign_resilient",
-    "save_checkpoint",
     "validate_runner_args",
     "CampaignInterrupted",
     "SupervisorCheckpoint",

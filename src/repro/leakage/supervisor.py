@@ -16,6 +16,9 @@ abnormal exit.  The loop is hardened against each:
   is rotated to ``<path>.prev`` before the new one lands, so a
   ``kill -9`` at *any* instruction of :func:`save_checkpoint_supervised`
   leaves at least one loadable generation on disk.
+* **Timed checkpoints** — at most one write per
+  ``checkpoint_interval_s`` seconds, so a fast campaign is not paced
+  by fsyncs; a ``kill -9`` loses at most that interval plus one batch.
 * **Signal-driven graceful shutdown** — SIGINT/SIGTERM flush a final
   checkpoint, write a ``<path>.interrupted`` resume marker and raise
   :class:`CampaignInterrupted`; the next run resumes bitwise.
@@ -103,12 +106,9 @@ __all__ = [
     "SupervisorCheckpoint",
     "save_checkpoint_supervised",
     "load_checkpoint_supervised",
-    "save_checkpoint",
-    "load_checkpoint",
     "quarantine_checkpoint",
     "validate_runner_args",
     "run_campaign_supervised",
-    "run_campaign_resilient",
 ]
 
 SUPERVISOR_CHECKPOINT_VERSION = 2
@@ -123,6 +123,10 @@ _FINGERPRINT_FIELDS = ("n_traces", "batch_size", "noise_sigma", "seed", "label")
 
 #: Poll interval of the parent's watchdog wait loop.
 _POLL_S = 0.05
+
+#: The clock behind the checkpoint cadence (a module attribute so tests
+#: can step it without sleeping).
+_clock = time.monotonic
 
 _LOG = get_logger("leakage.supervisor")
 
@@ -321,8 +325,9 @@ def load_checkpoint_supervised(
 
     Tries ``path`` first, then ``<path>.prev``.  Corrupt generations
     are quarantined (``.corrupt``) with a warning and skipped; the
-    fallback costs at most ``checkpoint_every`` re-simulated batches
-    and keeps the resumed result bitwise identical.
+    fallback re-simulates the batches merged between the two writes
+    (at most ``checkpoint_interval_s`` of progress plus one batch) and
+    keeps the resumed result bitwise identical.
 
     Returns ``None`` when no generation is loadable — the campaign
     starts fresh.
@@ -346,24 +351,8 @@ def load_checkpoint_supervised(
     return None
 
 
-#: Deprecated alias, kept for one release: writes a v2 checkpoint.
-save_checkpoint = save_checkpoint_supervised
-
-
-def load_checkpoint(
-    path: str, config: CampaignConfig, n_samples: int
-) -> Optional[tuple]:
-    """Deprecated alias of :func:`load_checkpoint_supervised`.
-
-    Returns ``(accumulator, next_batch)``, or ``None`` when no loadable
-    generation exists.
-    """
-    loaded = load_checkpoint_supervised(path, config, n_samples)
-    return None if loaded is None else (loaded.acc, loaded.next_batch)
-
-
 def validate_runner_args(
-    checkpoint_every: int = 1,
+    checkpoint_interval_s: float = 1.0,
     max_retries: int = 0,
     worker_timeout_s: Optional[float] = None,
     backoff_s: float = 0.0,
@@ -385,10 +374,10 @@ def validate_runner_args(
     Raises:
         ValueError: With an actionable message naming the parameter.
     """
-    if checkpoint_every < 1:
+    if not checkpoint_interval_s >= 0:  # also rejects NaN
         raise ValueError(
-            f"checkpoint_every must be >= 1, got {checkpoint_every} (a "
-            "campaign that never checkpoints cannot resume)"
+            f"checkpoint_interval_s must be >= 0 seconds (0 = after every "
+            f"merged batch), got {checkpoint_interval_s}"
         )
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
@@ -497,7 +486,7 @@ def _campaign_loop(
     stats: CampaignStats,
     checkpoint_path: Optional[str] = None,
     n_workers: "Optional[int | str]" = None,
-    checkpoint_every: int = 1,
+    checkpoint_interval_s: float = 1.0,
     max_retries: int = 0,
     worker_timeout_s: Optional[float] = None,
     watchdog_timeout_s: Optional[float] = None,
@@ -520,7 +509,9 @@ def _campaign_loop(
     cancels the pool: the ``finally`` tears it down, scavenges orphaned
     segments and flushes the progress of an interrupted run.
     """
-    validate_runner_args(checkpoint_every, max_retries, worker_timeout_s, backoff_s)
+    validate_runner_args(
+        checkpoint_interval_s, max_retries, worker_timeout_s, backoff_s
+    )
     if watchdog_timeout_s is None:
         watchdog_timeout_s = worker_timeout_s
     if stop_after_batches is not None and stop_after_batches < 1:
@@ -580,9 +571,10 @@ def _campaign_loop(
     post_checkpoint = getattr(chaos, "post_checkpoint", None)
     worker_setup = getattr(chaos, "worker_setup", None)
     dirty = False  # merged batches not yet checkpointed
+    last_flush = _clock()
 
     def flush(next_batch: int) -> None:
-        nonlocal dirty
+        nonlocal dirty, last_flush
         dirty = False
         if checkpoint_path is None:
             return
@@ -597,6 +589,7 @@ def _campaign_loop(
                 quarantined=quarantined,
             )
         obs_metrics.inc("supervisor.checkpoints_written")
+        last_flush = _clock()
         if post_checkpoint is not None:
             post_checkpoint(checkpoint_path, next_batch)
 
@@ -823,7 +816,13 @@ def _campaign_loop(
             i += 1
             merged_this_run += 1
             dirty = True
-            if (i - start) % checkpoint_every == 0:
+            # The final batch is never written here: the code after the
+            # loop deletes the files or writes the finished state once.
+            if (
+                checkpoint_path is not None
+                and i < len(plan)
+                and _clock() - last_flush >= checkpoint_interval_s
+            ):
                 flush(i)
             yield acc
     finally:
@@ -875,7 +874,7 @@ def run_campaign_supervised(
     config: CampaignConfig,
     checkpoint_path: str,
     n_workers: Optional[int] = None,
-    checkpoint_every: int = 1,
+    checkpoint_interval_s: float = 1.0,
     max_retries: int = 2,
     worker_timeout_s: Optional[float] = None,
     watchdog_timeout_s: Optional[float] = None,
@@ -897,7 +896,12 @@ def run_campaign_supervised(
             generation), ``<path>.corrupt`` (quarantine) and
             ``<path>.interrupted`` (resume marker).
         n_workers: Process count (``None`` = ``config.n_workers``).
-        checkpoint_every: Checkpoint cadence in merged batches.
+        checkpoint_interval_s: Write at most one checkpoint per this
+            many seconds of ``time.monotonic()``; ``0`` writes after
+            every merged batch but the last.  A signal,
+            ``stop_after_batches`` or an exception flushes all merged
+            progress; a SIGKILL loses at most this interval plus one
+            batch of it.
         max_retries: Failures tolerated per batch before quarantining
             it (parallel, failures from >= 2 pool generations) or
             degrading to serial execution.
@@ -915,7 +919,7 @@ def run_campaign_supervised(
             marker after a completed run.
         quarantine_batches: Enable poison-batch quarantine.  ``False``
             aborts on the first deterministic batch failure (the source
-            raised), as :func:`run_campaign_resilient` does.
+            raised).
         handle_signals: Install SIGINT/SIGTERM handlers (main thread
             only) that flush a final checkpoint and raise
             :class:`CampaignInterrupted`.  Pool workers never keep
@@ -952,7 +956,7 @@ def run_campaign_supervised(
             stats,
             checkpoint_path=checkpoint_path,
             n_workers=n_workers,
-            checkpoint_every=checkpoint_every,
+            checkpoint_interval_s=checkpoint_interval_s,
             max_retries=max_retries,
             worker_timeout_s=worker_timeout_s,
             watchdog_timeout_s=watchdog_timeout_s,
@@ -966,33 +970,3 @@ def run_campaign_supervised(
         )
     )
     return acc.result(label=config.label, stats=stats)
-
-
-def run_campaign_resilient(
-    source: TraceSource,
-    config: CampaignConfig,
-    checkpoint_path: str,
-    n_workers: Optional[int] = None,
-    checkpoint_every: int = 1,
-    max_retries: int = 2,
-    worker_timeout_s: Optional[float] = None,
-    backoff_s: float = 0.5,
-    resume: bool = True,
-    cleanup: bool = True,
-) -> TvlaResult:
-    """Deprecated alias of :func:`run_campaign_supervised`, kept for one
-    release: no poison-batch quarantine, no signal handlers."""
-    return run_campaign_supervised(
-        source,
-        config,
-        checkpoint_path,
-        n_workers=n_workers,
-        checkpoint_every=checkpoint_every,
-        max_retries=max_retries,
-        worker_timeout_s=worker_timeout_s,
-        backoff_s=backoff_s,
-        resume=resume,
-        cleanup=cleanup,
-        quarantine_batches=False,
-        handle_signals=False,
-    )

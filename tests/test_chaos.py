@@ -15,6 +15,7 @@ from repro.chaos import (
     FAILURE_MODES,
     WORKER_MODES,
     ChaosPolicy,
+    ScenarioResult,
     run_chaos_scenario,
 )
 from repro.chaos.cli import main as chaos_main
@@ -64,6 +65,27 @@ def test_policy_injection_is_one_shot(tmp_path):
     damaged = ckpt.read_bytes()
     policy.post_checkpoint(str(ckpt), policy.inject_at_batch)
     assert ckpt.read_bytes() == damaged  # second trigger is a no-op
+
+
+def test_checkpoint_mode_verdict_requires_the_fallback():
+    """A checkpoint scenario that restarted from scratch is bitwise equal
+    too; only a quarantine plus a restore shows the fallback ran."""
+    fallback = {"checkpoint_restores": 1, "checkpoints_quarantined": 1}
+    for mode in CHECKPOINT_MODES:
+        def verdict(stats):
+            return ScenarioResult(
+                mode=mode, seed=0, injected=True, recovered=True,
+                bitwise=True, stats=stats,
+            ).ok
+
+        assert verdict(fallback)
+        assert not verdict({})
+        assert not verdict({**fallback, "checkpoint_restores": 0})
+        assert not verdict({**fallback, "checkpoints_quarantined": 0})
+    assert ScenarioResult(
+        mode="kill_worker", seed=0, injected=True, recovered=True,
+        bitwise=True,
+    ).ok
 
 
 def test_parent_process_never_killed(tmp_path):

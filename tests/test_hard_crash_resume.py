@@ -39,11 +39,14 @@ N_BATCHES = CFG["n_traces"] // CFG["batch_size"]
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-# Batches completed before the kill, per kill point.  ``batch`` dies on
-# acquire call 3 (3 batches checkpointed); ``checkpoint`` dies inside
-# save #4 (the save of next_batch=4, leaving next_batch=3 in ``.prev``);
-# ``final`` dies inside the post-loop flush (save #N_BATCHES + 1).
-_EXPECTED_NEXT = {"batch": 3, "checkpoint": 3, "final": N_BATCHES}
+# Batches completed before the kill, per kill point.  The campaign
+# checkpoints after every batch but the last (``checkpoint_interval_s=0``).
+# ``batch`` dies on acquire call 3 (3 batches checkpointed);
+# ``checkpoint`` dies inside save #4 (the save of next_batch=4, leaving
+# next_batch=3 in ``.prev``); ``final`` dies inside the post-loop flush
+# (save #N_BATCHES, leaving the in-loop save of next_batch=N_BATCHES - 1
+# in ``.prev``).
+_EXPECTED_NEXT = {"batch": 3, "checkpoint": 3, "final": N_BATCHES - 1}
 
 SCRIPT = r"""
 import os, signal, sys
@@ -81,7 +84,7 @@ source = Synth()
 if kill_point == "batch":
     source = KillInBatch(3)
 else:
-    kill_at_save = {"checkpoint": 4, "final": 800 // 100 + 1}[kill_point]
+    kill_at_save = {"checkpoint": 4, "final": 800 // 100}[kill_point]
     real_replace = os.replace
     state = {"saves": 0}
 
@@ -101,7 +104,7 @@ config = CampaignConfig(
     label="hard-crash",
 )
 supervisor.run_campaign_supervised(
-    source, config, ckpt, n_workers=1, checkpoint_every=1,
+    source, config, ckpt, n_workers=1, checkpoint_interval_s=0,
     handle_signals=False, cleanup=False,
 )
 raise SystemExit("campaign survived a kill point that should be fatal")

@@ -155,6 +155,7 @@ def test_supervised_packed_traced_run_contract():
                 traced = run_campaign_supervised(
                     _source(), config("obs.sup.traced"),
                     checkpoint_path=f"{workdir}/traced.npz",
+                    checkpoint_interval_s=0,  # a checkpoint span per batch
                     handle_signals=False,
                 )
             spans = tracer.drain()
