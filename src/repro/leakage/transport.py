@@ -231,9 +231,24 @@ def _release_segment(name: str) -> None:
 
 
 def _unlink_quietly(name: str) -> bool:
-    """Unlink segment ``name`` if it still exists; True when it did."""
+    """Unlink segment ``name`` if it still exists; True when it did.
+
+    On POSIX the name is unlinked without attaching: a worker killed
+    between ``shm_open`` and ``ftruncate`` leaves an empty segment that
+    cannot be mapped, and attaching it would raise instead of freeing it.
+    """
     from multiprocessing import shared_memory
 
+    try:
+        import _posixshmem  # the C module behind shared_memory on POSIX
+    except ImportError:  # pragma: no cover - Windows
+        _posixshmem = None
+    if _posixshmem is not None:
+        try:
+            _posixshmem.shm_unlink("/" + name)
+        except OSError:  # FileNotFoundError: already gone
+            return False
+        return True
     try:
         shm = shared_memory.SharedMemory(name=name)
     except FileNotFoundError:
