@@ -1,327 +1,288 @@
-"""Performance benchmarks of the simulation substrate itself.
+"""Timing gates of the simulation substrate.
 
-Three kinds of benches live here:
+Five head-to-head comparisons, each with a relative speed bound and a
+bitwise contract between its two legs:
 
-* real pytest-benchmark timing loops over the campaign inner loops
-  (gadget-bank settling, masked S-box, TVLA accumulator);
-* head-to-head comparisons — compiled replay vs interpreted ``settle``
-  and boolean vs bit-packed engine on the gadget bank, serial vs
-  parallel and boolean vs packed campaigns — delegated to
-  :mod:`repro.eval.bench` (the same code ``python -m repro bench``
-  runs) so CI and the CLI publish identical numbers;
-* a machine-readable summary: the module writes ``BENCH_simulator.json``
-  at the repo root (schema ``bench_simulator/v5``, see
-  ``repro.eval.bench``) with the comparison timings, speedups, the
-  campaign's :class:`~repro.leakage.stats.CampaignStats`, the packed
-  leg's counter-plane telemetry and the :mod:`repro.obs` span-tracing
-  overhead ratio (the ``obs`` section, gated at <= 5%).
+* compiled replay vs interpreted ``settle``: >= 3x;
+* bit-packed vs boolean compiled replay: >= 3x;
+* packed vs boolean masked-DES campaign: >= 1.2x;
+* 4-worker vs serial campaign: >= 1.5x, on hosts with >= 4 CPUs;
+* traced vs untraced campaign: <= 5% overhead.
+
+Both legs of a comparison run in this one process, timed in
+alternating per-leg blocks so host-speed drift cancels, and each gate
+reads the median per-round ratio.  Absolute throughput, its history
+and the per-layer breakdown are measured by ``perfbench/`` (see
+``BENCHMARK.json``), not here.
+
+Run with ``PYTHONPATH=src:. python -m pytest
+benchmarks/bench_simulator_throughput.py -q -s``.
 """
 
 import os
+import statistics
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.des.engines import DESTraceSource, MaskedDESNetlistEngine
-from repro.des.masked_core import MaskedSboxModel
-from repro.eval import bench
-from repro.leakage.acquisition import CampaignConfig, OversubscriptionWarning
-from repro.leakage.tvla import TTestAccumulator
 from repro.core.gadgets import build_secand2
 from repro.core.shares import share
-from repro.sim.power import PowerRecorder
+from repro.des.engines import DESTraceSource, MaskedDESNetlistEngine
+from repro.leakage.acquisition import CampaignConfig, run_campaign
+from repro.obs.trace import disable_tracing, enable_tracing, get_tracer
+from repro.sim.power import (
+    PowerRecorder,
+    packed_accumulator_counters,
+    reset_packed_accumulator_counters,
+)
 from repro.sim.vectorsim import VectorSimulator
 
-#: Filled by the comparison benches, dumped to BENCH_simulator.json.
-RESULTS = {}
+#: Lane-aligned masked-DES campaign (one 512-trace batch, 8 uint64
+#: lanes): ragged batches are exactly where packing cannot pay.
+DES_CONFIG = CampaignConfig(
+    n_traces=512, batch_size=512, noise_sigma=1.0, seed=0
+)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _emit_json():
-    yield
-    if not RESULTS:
-        return
-    bench.write_json(bench.assemble_payload(**RESULTS))
+def alternating_blocks(run_a, prep_a, run_b, prep_b, reps, rounds=3):
+    """Time two workloads in alternating per-leg blocks.
+
+    One untimed warm-up of each leg (it compiles schedules), then
+    ``rounds`` times: ``reps`` timed runs of leg A, then of leg B.
+    Per-leg blocks keep each leg's working set warm, as a campaign runs
+    one engine back to back; alternating the blocks cancels host-speed
+    drift (frequency scaling, steal time) between the legs.  ``prep``
+    runs untimed before each run.
+
+    Returns ``(t_a, t_b, ratio)``: the median block-median time of each
+    leg and the median per-round ratio ``t_a / t_b``.
+    """
+    for prep, run in ((prep_a, run_a), (prep_b, run_b)):
+        prep()
+        run()
+
+    def block(run, prep):
+        times = []
+        for _ in range(reps):
+            prep()
+            t0 = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - t0)
+        return statistics.median(times)
+
+    t_as, t_bs = [], []
+    for _ in range(rounds):
+        t_as.append(block(run_a, prep_a))
+        t_bs.append(block(run_b, prep_b))
+    return (
+        statistics.median(t_as),
+        statistics.median(t_bs),
+        statistics.median(a / b for a, b in zip(t_as, t_bs)),
+    )
 
 
-# ----------------------------------------------------------------------
-# compiled replay vs interpreted settle (the gadget-bank settle bench)
-#
-# The head-to-head comparisons run FIRST, before the pytest-benchmark
-# loops: those loops churn tens of MB of allocations, which shifts the
-# process into an allocator/page-cache regime where the boolean
-# engine's large temporaries get ~2x cheaper — a regime `python -m
-# repro bench` (a fresh process) never sees.  Running the comparisons
-# first keeps the published JSON numbers identical to the CLI's.
-# ----------------------------------------------------------------------
+def _settle_leg(n_instances, n_traces, compiled, packed):
+    """One leg of the secAND2-bank settle workload.
+
+    Returns ``(sim, power, prep, run)`` over a fixed circuit, events and
+    weights: ``prep`` resets the wires and starts a new recorder,
+    ``run`` settles the events into it and ``power()`` reads the latest
+    run's power matrix.  The same arguments give the same workload, so
+    two legs differ only in the engine.
+    """
+    rng = np.random.default_rng(0)
+    c = build_secand2(n_instances=n_instances)
+    x0, x1 = share(rng.integers(0, 2, n_traces).astype(bool), rng)
+    y0, y1 = share(rng.integers(0, 2, n_traces).astype(bool), rng)
+    events = [
+        (0, c.wire("y0"), y0),
+        (1000, c.wire("x0"), x0),
+        (1000, c.wire("x1"), x1),
+        (2000, c.wire("y1"), y1),
+    ]
+    inputs = {c.wire(k): False for k in ("x0", "x1", "y0", "y1")}
+    sim = VectorSimulator(
+        c, n_traces, compile_schedules=compiled, pack_traces=packed
+    )
+    current = {}
+
+    def prep():
+        sim.reset_state(False)
+        sim.evaluate_combinational(inputs)
+        current["rec"] = PowerRecorder(
+            n_traces, 5000, bin_ps=250, weights=sim.weights
+        )
+
+    def run():
+        sim.settle(events, recorder=current["rec"])
+
+    return sim, lambda: current["rec"].power, prep, run
+
+
+@pytest.fixture(scope="module")
+def des_source():
+    engine = MaskedDESNetlistEngine("ff")
+    return DESTraceSource(
+        engine, 0x0123456789ABCDEF, 0x133457799BBCDFF1, prng_enabled=True
+    )
+
+
+def _assert_same_t(a, b, what):
+    for order in ("t1", "t2", "t3"):
+        assert np.array_equal(getattr(a, order), getattr(b, order)), (
+            f"{what}: {order} differs"
+        )
+
+
 def test_bench_compiled_vs_interpreted_settle():
     """Schedule replay must beat the interpreted event loop >= 3x.
 
-    Campaign-shaped workload: a 64-instance secAND2 bank settling a
-    1024-trace batch with power recording — one ``acquire`` worth of
-    simulation.  The bank is sized so the interpreted engine's
-    per-gate Python loop (what replay eliminates) dominates the
-    per-trace numpy work both engines share.  Both engines produce bitwise
-    identical values and power (asserted inside the comparison); only
-    the time differs.
+    A 64-instance secAND2 bank settling a 1024-trace batch with power
+    recording, one ``acquire`` worth of simulation, sized so the
+    interpreted engine's per-gate Python loop dominates the per-trace
+    numpy work both engines share.  Values and power must agree
+    bitwise.
     """
-    settle = bench.settle_comparison(n_instances=64, n_traces=1024)
-    RESULTS["settle"] = settle
+    sim_i, power_i, prep_i, run_i = _settle_leg(64, 1024, False, False)
+    sim_c, power_c, prep_c, run_c = _settle_leg(64, 1024, True, False)
+    t_i, t_c, speedup = alternating_blocks(run_i, prep_i, run_c, prep_c, 15)
+    assert np.array_equal(sim_i.values, sim_c.values)
+    assert np.array_equal(power_i(), power_c())
     print(
-        f"\nsettle: interpreted {settle['interpreted_ms']:.3f} ms  "
-        f"compiled {settle['compiled_ms']:.3f} ms  "
-        f"speedup {settle['speedup']:.2f}x"
+        f"\nsettle: interpreted {t_i * 1e3:.3f} ms  "
+        f"compiled {t_c * 1e3:.3f} ms  speedup {speedup:.2f}x"
     )
-    assert settle["speedup"] >= 3.0
+    assert speedup >= 3.0
 
 
-# ----------------------------------------------------------------------
-# bit-packed vs boolean engine (the packed settle / campaign benches)
-# ----------------------------------------------------------------------
 def test_bench_packed_vs_boolean_settle():
     """The uint64-lane engine must beat the boolean engine >= 3x.
 
-    Same secAND2-bank workload as the compiled-vs-interpreted bench,
-    sized up (64 instances, 16384 traces) so byte traffic — the thing
-    packing shrinks 64x — dominates per-call numpy overhead.  Both
-    engines run the compiled path with power recording and must agree
-    bitwise on every wire value and power sample (asserted inside the
-    comparison).
+    The same workload sized up to 16384 traces, so byte traffic (which
+    packing shrinks 64x) dominates per-call numpy overhead.  Both legs
+    run the compiled path and must agree bitwise on every wire value
+    and power sample.
     """
-    packed = bench.settle_packed_comparison(n_instances=64, n_traces=16384)
-    RESULTS["settle_packed"] = packed
+    sim_b, power_b, prep_b, run_b = _settle_leg(64, 16384, True, False)
+    sim_p, power_p, prep_p, run_p = _settle_leg(64, 16384, True, True)
+    t_b, t_p, speedup = alternating_blocks(run_b, prep_b, run_p, prep_p, 9)
+    for w in range(sim_b.values.shape[0]):
+        assert np.array_equal(sim_b.wire_values(w), sim_p.wire_values(w))
+    assert np.array_equal(power_b(), power_p())
     print(
-        f"\nsettle_packed: boolean {packed['boolean_ms']:.3f} ms  "
-        f"packed {packed['packed_ms']:.3f} ms  "
-        f"speedup {packed['speedup']:.2f}x  "
-        f"popcount={packed['popcount']}"
+        f"\nsettle_packed: boolean {t_b * 1e3:.3f} ms  "
+        f"packed {t_p * 1e3:.3f} ms  speedup {speedup:.2f}x"
     )
-    assert packed["speedup"] >= 3.0
+    assert speedup >= 3.0
 
 
-def test_bench_campaign_packed_vs_boolean():
-    """End-to-end packed campaign on the masked-DES engine: >= 1.2x.
+def test_bench_campaign_packed_vs_boolean(des_source):
+    """End-to-end packed masked-DES campaign: >= 1.2x, bitwise equal.
 
-    Serial campaign, ``pack_traces=False`` vs ``True``, bitwise-equal
-    t-statistics required.  Both engines record through one sink call
-    per settle (no per-event recording), and the speedup is *gated*,
-    not just recorded: both legs run in this one process, so the
-    comparison is valid even at ``cpu_count=1``.  End-to-end time still
-    includes TVLA accumulation and noise generation, which packing does
-    not touch — hence 1.2x here vs the ~5x recorder-free settle bench.
-    The geometry is lane-aligned (one 512-trace batch, 8 uint64 lanes):
-    ragged two-lane batches are exactly where packing cannot pay, which
-    is what ``pack_traces="auto"``'s 64-trace floor is for.
+    Serial on purpose, so the number isolates the engine, not the pool.
+    End-to-end time includes TVLA accumulation and noise generation,
+    which packing does not touch; hence 1.2x here vs >= 3x for the bare
+    settle.  Both legs record power through one sink call per settle.
     """
-    engine = MaskedDESNetlistEngine("ff")
-    source = DESTraceSource(
-        engine, 0x0123456789ABCDEF, 0x133457799BBCDFF1, prng_enabled=True
+    cfg_bool = replace(DES_CONFIG, pack_traces=False)
+    cfg_packed = replace(DES_CONFIG, pack_traces=True)
+    latest = {}
+
+    def run_bool():
+        latest["boolean"] = run_campaign(des_source, cfg_bool, n_workers=1)
+
+    def run_packed():
+        latest["packed"] = run_campaign(des_source, cfg_packed, n_workers=1)
+
+    reset_packed_accumulator_counters()
+    t_b, t_p, speedup = alternating_blocks(
+        run_bool, lambda: None, run_packed, lambda: None, 1
     )
-    cfg = CampaignConfig(
-        n_traces=512, batch_size=512, noise_sigma=1.0, seed=0,
-        label="bench.campaign_packed",
-    )
-    campaign = bench.campaign_packed_comparison(
-        source,
-        cfg,
-        source_label="DESTraceSource (masked DES netlist, ff variant)",
-    )
-    RESULTS["campaign_packed"] = campaign
-    sink = campaign["sink"]
+    sink = packed_accumulator_counters()
+    _assert_same_t(latest["boolean"], latest["packed"], "packed campaign")
     print(
-        f"\ncampaign_packed: boolean {campaign['boolean_s']:.2f} s  "
-        f"packed {campaign['packed_s']:.2f} s  "
-        f"speedup {campaign['speedup']:.2f}x  "
-        f"bitwise={campaign['bitwise_equal']}  "
+        f"\ncampaign_packed: boolean {t_b:.2f} s  packed {t_p:.2f} s  "
+        f"speedup {speedup:.2f}x  "
         f"sink calls={sink['calls']}  rows={sink['rows']}"
     )
-    assert campaign["bitwise_equal"]
     assert 0 < sink["calls"] < sink["rows"], (
         "the campaign's settles never reached the recording sink, or it "
         "was fed one row per call"
     )
-    assert campaign["speedup"] >= 1.2, (
-        f"packed campaign speedup {campaign['speedup']:.2f}x < 1.2x — "
-        "the packed-domain accumulation regression this bench exists "
-        "to catch (the pre-v4 per-event unpack leg measured 0.98x)"
+    assert speedup >= 1.2, (
+        f"packed campaign speedup {speedup:.2f}x < 1.2x: the packed "
+        "engine no longer pays end to end"
     )
 
 
-# ----------------------------------------------------------------------
-# serial vs parallel campaign
-# ----------------------------------------------------------------------
-def test_bench_campaign_serial_vs_parallel():
-    """Batch-sharded TVLA campaign on the masked-DES engine.
+def test_bench_campaign_serial_vs_parallel(des_source):
+    """Four batches on four workers: >= 1.5x and bitwise equal to serial.
 
-    This is the paper's Fig. 14 workload: each batch runs full 16-round
-    masked-DES encryptions through the netlist simulator (seconds per
-    batch), so the campaign is simulation-bound and the process pool
-    amortises.  Four batches on four workers; the sharded accumulators
-    must merge to the exact serial result.
-
-    The hard requirement is bitwise equality (asserted inside the
-    comparison).  The speedup is only asserted on hosts with >= 4 CPUs
-    where four workers actually get four cores.  On a single-CPU host
-    the whole comparison is skipped — both legs would simulate the
-    same 1000 traces only to time pool overhead — and the JSON records
-    ``"skipped_reason": "cpu_count<2"`` in its place.
+    Each batch runs full 16-round masked-DES encryptions (the paper's
+    Fig. 14 workload), so the campaign is simulation-bound and the pool
+    amortises.  Below four CPUs the comparison is skipped before it
+    runs: four workers sharing fewer cores time only pool overhead.
+    The bitwise half is also tier-1 (``tests/test_campaign_loop.py``).
     """
-    n_workers = 4
     cpu = os.cpu_count() or 1
-    if cpu < 2:
-        RESULTS["campaign"] = {
-            "source": "DESTraceSource (masked DES netlist, ff variant)",
-            "skipped_reason": "cpu_count<2",
-        }
-        pytest.skip(
-            "serial-vs-parallel comparison skipped: 1 CPU (recorded as "
-            "skipped_reason=cpu_count<2 in BENCH_simulator.json)"
-        )
-    engine = MaskedDESNetlistEngine("ff")
-    source = DESTraceSource(
-        engine, 0x0123456789ABCDEF, 0x133457799BBCDFF1, prng_enabled=True
-    )
-    cfg = CampaignConfig(
-        n_traces=500, batch_size=125, noise_sigma=1.0, seed=0,
-        label="bench.campaign",
-    )
-
-    ctx = (
-        pytest.warns(OversubscriptionWarning)
-        if n_workers > cpu
-        else _no_warning_context()
-    )
-    with ctx:
-        campaign = bench.campaign_comparison(
-            source,
-            cfg,
-            n_workers=n_workers,
-            source_label="DESTraceSource (masked DES netlist, ff variant)",
-        )
-    RESULTS["campaign"] = campaign
+    if cpu < 4:
+        pytest.skip(f"parallel speedup needs >= 4 CPUs, host has {cpu}")
+    cfg = CampaignConfig(n_traces=500, batch_size=125, noise_sigma=1.0, seed=0)
+    serial = run_campaign(des_source, cfg, n_workers=1)
+    parallel = run_campaign(des_source, cfg, n_workers=4)
+    _assert_same_t(serial, parallel, "parallel campaign")
+    speedup = serial.stats.wall_seconds / parallel.stats.wall_seconds
     print(
-        f"\ncampaign: serial {campaign['serial_s']:.2f} s  "
-        f"parallel({n_workers}) {campaign['parallel_s']:.2f} s  "
-        f"speedup {campaign['speedup']:.2f}x  "
-        f"bitwise={campaign['bitwise_equal']}  cpu_count={cpu}"
+        f"\ncampaign: serial {serial.stats.wall_seconds:.2f} s  "
+        f"parallel(4) {parallel.stats.wall_seconds:.2f} s  "
+        f"speedup {speedup:.2f}x  cpu_count={cpu}"
     )
-    assert campaign["bitwise_equal"]
-    if cpu >= 4:
-        assert campaign["speedup"] >= 1.5, (
-            f"parallel campaign speedup {campaign['speedup']:.2f}x on a "
-            f"{cpu}-CPU host — the regression this bench exists to catch"
-        )
-    else:
-        pytest.skip(
-            f"speedup assertion skipped: {cpu} CPU(s) < 4 (timings "
-            "still recorded in BENCH_simulator.json)"
-        )
+    assert speedup >= 1.5, (
+        f"parallel campaign speedup {speedup:.2f}x on a {cpu}-CPU host"
+    )
 
 
-def _no_warning_context():
-    import contextlib
-
-    return contextlib.nullcontext()
-
-
-# ----------------------------------------------------------------------
-# span-tracing overhead
-# ----------------------------------------------------------------------
-def test_bench_obs_overhead():
+def test_bench_obs_overhead(des_source):
     """Tracing a packed campaign must cost <= 5% and change no bits.
 
-    Same lane-aligned masked-DES workload as the packed bench, run
-    twice per rep — :mod:`repro.obs` tracing disabled vs enabled —
-    with alternating blocks so host-speed drift cancels.  Hard
-    requirements: the traced leg's t-statistics are bitwise equal to
-    the untraced leg's, the trace is non-empty, and the median
-    overhead ratio stays under the 5% budget the observability layer
-    promises for hot paths.
+    The packed leg of the campaign bench, run with :mod:`repro.obs`
+    span tracing on (a fresh tracer per run, so the ring never wraps)
+    and off.  The traced t-statistics must equal the untraced ones
+    bitwise and the trace must hold spans: tracing observes the
+    campaign, never perturbs it.
     """
-    engine = MaskedDESNetlistEngine("ff")
-    source = DESTraceSource(
-        engine, 0x0123456789ABCDEF, 0x133457799BBCDFF1, prng_enabled=True
-    )
-    cfg = CampaignConfig(
-        n_traces=512, batch_size=512, noise_sigma=1.0, seed=0,
-        pack_traces=True, label="bench.obs",
-    )
-    # The campaign takes well under a second since the levelised
-    # replay; five runs per leg block keep each round's ratio above the
-    # host's run-to-run noise (one run per block swung it by +-6%).
-    obs = bench.obs_overhead_comparison(
-        source,
-        cfg,
-        source_label="DESTraceSource (masked DES netlist, ff variant)",
-        reps=5,
-    )
-    RESULTS["obs"] = obs
+    cfg = replace(DES_CONFIG, pack_traces=True)
+    latest = {}
+    spans = []
+
+    def run_off():
+        latest["untraced"] = run_campaign(des_source, cfg, n_workers=1)
+
+    def run_on():
+        latest["traced"] = run_campaign(des_source, cfg, n_workers=1)
+        spans[:] = get_tracer().drain()
+
+    # The campaign takes well under a second; five runs per leg block
+    # keep each round's ratio above the host's run-to-run noise (one
+    # run per block swung it by +-6%), and five rounds keep the median
+    # ratio off the bound (three rounds read -2% to +4% on a 2-CPU
+    # host whose per-leg medians differed by under 1%).
+    try:
+        t_on, t_off, ratio = alternating_blocks(
+            run_on, enable_tracing, run_off, disable_tracing, 5, rounds=5
+        )
+    finally:
+        disable_tracing()
+    _assert_same_t(latest["untraced"], latest["traced"], "traced campaign")
+    overhead = ratio - 1.0
     print(
-        f"\nobs: untraced {obs['untraced_s']:.3f} s  "
-        f"traced {obs['traced_s']:.3f} s  "
-        f"overhead {obs['overhead'] * 100:+.1f}%  "
-        f"bitwise={obs['bitwise_equal']}  "
-        f"spans={obs['n_spans']}  coverage={obs['coverage']:.0%}"
+        f"\nobs: untraced {t_off:.3f} s  traced {t_on:.3f} s  "
+        f"overhead {overhead * 100:+.1f}%  spans={len(spans)}"
     )
-    assert obs["bitwise_equal"]
-    assert obs["n_spans"] > 0
-    assert obs["overhead"] <= 0.05, (
-        f"span-tracing overhead {obs['overhead'] * 100:+.1f}% > 5% on the "
-        "packed campaign path — the zero-cost-when-idle contract of "
-        "repro.obs no longer holds in the hot loop"
+    assert spans, "traced campaign recorded no spans"
+    assert overhead <= 0.05, (
+        f"span-tracing overhead {overhead * 100:+.1f}% > 5% on the packed "
+        "campaign path: repro.obs is no longer near-free in the hot loop"
     )
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark loops (after the comparisons — see note above)
-# ----------------------------------------------------------------------
-def test_bench_gadget_bank_settle(benchmark):
-    """Event-driven settle of an 8-instance secAND2 bank, 4096 traces."""
-    rng = np.random.default_rng(0)
-    c = build_secand2(n_instances=8)
-    n = 4096
-    x0, x1 = share(rng.integers(0, 2, n).astype(bool), rng)
-    y0, y1 = share(rng.integers(0, 2, n).astype(bool), rng)
-
-    def run():
-        sim = VectorSimulator(c, n)
-        sim.evaluate_combinational(
-            {c.wire(k): False for k in ("x0", "x1", "y0", "y1")}
-        )
-        rec = PowerRecorder(n, 5000, bin_ps=250, weights=sim.weights)
-        sim.settle(
-            [
-                (0, c.wire("y0"), y0),
-                (1000, c.wire("x0"), x0),
-                (1000, c.wire("x1"), x1),
-                (2000, c.wire("y1"), y1),
-            ],
-            recorder=rec,
-        )
-        return rec.power.sum()
-
-    assert benchmark(run) > 0
-
-
-def test_bench_masked_sbox_model(benchmark):
-    """Share-level masked S-box, 8192 evaluations per call."""
-    rng = np.random.default_rng(1)
-    model = MaskedSboxModel(0)
-    n = 8192
-    x0 = rng.integers(0, 2, (6, n)).astype(bool)
-    x1 = rng.integers(0, 2, (6, n)).astype(bool)
-    r = rng.integers(0, 2, (14, n)).astype(bool)
-
-    out = benchmark(model, x0, x1, r)
-    assert out[0].shape == (4, n)
-
-
-def test_bench_tvla_accumulator(benchmark):
-    """Streaming t-test update: 4096 traces x 512 samples."""
-    rng = np.random.default_rng(2)
-    traces = rng.normal(0, 1, (4096, 512)).astype(np.float32)
-    mask = rng.integers(0, 2, 4096).astype(bool)
-    acc = TTestAccumulator(512)
-
-    benchmark(acc.update, traces, mask)
-    assert np.isfinite(acc.t_stats(1)).all()

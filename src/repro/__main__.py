@@ -43,7 +43,7 @@ _QUICK_KWARGS = {
     "fault_sweep": dict(
         sigmas=(0, 300, 600), n_traces=3_000, include_des=False
     ),
-    "bench": dict(quick=True),
+    "compile_costs": dict(),
 }
 
 

@@ -15,9 +15,7 @@ fig17   TVLA of the PD engine (coupling)                eval.fig17
 
 plus ``fault_sweep`` (eval.fault_sweep): the delay-variation
 margin-erosion sweep over the fault-injection subsystem — not a paper
-figure, but the robustness question behind Sec. VII-B; ``bench``
-(eval.bench): the simulator-throughput benchmark that writes
-``BENCH_simulator.json`` (schema ``bench_simulator/v6``); and
+figure, but the robustness question behind Sec. VII-B; and
 ``compile_costs`` (eval.compile_costs): the masking compiler's
 acceptance sheet — certify all ten paper S-boxes and compare compiled
 vs hand-built DES cost.
@@ -31,7 +29,6 @@ full scaled campaign.
 from typing import Callable, Dict
 
 from . import (
-    bench,
     compile_costs,
     fault_sweep,
     fig14,
@@ -54,13 +51,11 @@ EXPERIMENTS: Dict[str, Callable] = {
     "fig15": fig15.run,
     "fig17": fig17.run,
     "fault_sweep": fault_sweep.run,
-    "bench": bench.run,
     "compile_costs": compile_costs.run,
 }
 
 __all__ = [
     "EXPERIMENTS",
-    "bench",
     "compile_costs",
     "fault_sweep",
     "fig14",

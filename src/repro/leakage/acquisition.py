@@ -49,10 +49,10 @@ loop enforces all three:
    its first batch compiles what it needs.
 3. **A sane worker count.**  ``n_workers="auto"`` resolves against
    ``os.cpu_count()``; an explicit request exceeding the core count
-   triggers an :class:`OversubscriptionWarning` (never again a silent
-   4-workers-on-1-core "benchmark").  :func:`suggest_batch_size`
-   documents the batch-size heuristic; ``CampaignConfig.autotune()``
-   applies both.
+   triggers an :class:`OversubscriptionWarning`: four workers on one
+   core measure only pool overhead, so the request is never silent.
+   :func:`suggest_batch_size` documents the batch-size heuristic;
+   ``CampaignConfig.autotune()`` applies both.
 
 Every runner attaches a :class:`repro.leakage.stats.CampaignStats` to
 its :class:`TvlaResult` so throughput regressions are observable, not
@@ -140,10 +140,10 @@ class OversubscriptionWarning(RuntimeWarning):
     """More campaign workers requested than the host has CPUs.
 
     Oversubscribed pools *lose* throughput (context switching plus
-    transport overhead with zero extra compute), which is how the v1
-    bench recorded a 0.92x "speedup" for 4 workers on 1 core.  The
-    request is honoured — CI boxes legitimately oversubscribe for
-    correctness tests — but never silently.
+    transport overhead with zero extra compute): four workers on one
+    core time only pool overhead.  The request is honoured — CI boxes
+    legitimately oversubscribe for correctness tests — but never
+    silently.
     """
 
 

@@ -1,10 +1,10 @@
 """Campaign observability: where did the wall-clock time go?
 
-The v1 parallel campaign shipped with a single number (a speedup in
-``BENCH_simulator.json``) and no way to see *why* it was slow — which
-is how a 0.92x "speedup" on a 1-core box went unnoticed.  Every
-campaign runner now assembles a :class:`CampaignStats` and attaches it
-to the returned :class:`~repro.leakage.tvla.TvlaResult`, recording
+A campaign's wall time alone cannot say *why* it was slow: four
+workers on one core measure only pool overhead, and a bare speedup
+hides that.  Every campaign runner assembles a :class:`CampaignStats`
+and attaches it to the returned :class:`~repro.leakage.tvla.TvlaResult`,
+recording
 
 * the worker topology actually used (requested vs effective workers,
   the host's CPU count, the pool start method, oversubscription);
@@ -16,9 +16,8 @@ to the returned :class:`~repro.leakage.tvla.TvlaResult`, recording
   inside the workers) — a warmed campaign must show batch-time
   ``schedule_compiles == 0``.
 
-``as_dict()`` is JSON-ready (the bench harness embeds it in
-``BENCH_simulator.json`` schema v2); ``summary()`` renders the
-two-line reading used by the ``repro.eval`` reports.
+``as_dict()`` is JSON-ready; ``summary()`` renders the two-line
+reading used by the ``repro.eval`` reports.
 """
 
 from __future__ import annotations

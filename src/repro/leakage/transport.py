@@ -5,8 +5,7 @@ a pickled :class:`~repro.leakage.tvla.TTestAccumulator` — two
 ``(6, n_samples)`` float64 raw-moment matrices per batch, serialised
 into the pool's result pipe byte by byte.  On trace-heavy campaigns
 that pipe traffic (plus the pickling CPU on both ends) ate the speedup
-the pool was supposed to buy (``BENCH_simulator.json`` v1 recorded a
-0.92x "speedup" for ``n_workers=4``).
+the pool was supposed to buy.
 
 This module makes the shard transport explicit and cheap:
 

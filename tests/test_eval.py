@@ -15,8 +15,14 @@ from repro.eval.report import render_table, rule, sparkline, tvla_panel
 def test_registry_covers_every_table_and_figure():
     assert set(EXPERIMENTS) == {
         "table1", "table2", "table3", "fig13", "fig14", "fig15", "fig16",
-        "fig17", "fault_sweep", "bench", "compile_costs",
+        "fig17", "fault_sweep", "compile_costs",
     }
+
+
+def test_every_experiment_has_quick_budgets():
+    from repro.__main__ import _QUICK_KWARGS
+
+    assert set(_QUICK_KWARGS) == set(EXPERIMENTS)
 
 
 def test_table1_subset_run_and_render():

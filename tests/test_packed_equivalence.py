@@ -313,43 +313,6 @@ def test_campaign_config_rejects_bad_pack_traces():
 
 
 # ----------------------------------------------------------------------
-# bench: single-CPU campaign skip (satellite: cpu_count<2)
-# ----------------------------------------------------------------------
-def test_bench_records_campaign_skip_on_single_cpu(monkeypatch):
-    from repro.eval import bench
-
-    monkeypatch.setattr(bench, "_cpu_count", lambda: 1)
-    called = []
-    monkeypatch.setattr(
-        bench,
-        "campaign_comparison",
-        lambda *a, **k: called.append(a) or {},
-    )
-    result = bench.run(quick=True, write=False)
-    assert not called, "parallel leg must not run at all on 1 CPU"
-    campaign = result.payload["campaign"]
-    assert campaign["skipped_reason"] == "cpu_count<2"
-    assert result.payload["parallel_comparison_valid"] is False
-    assert "skipped (cpu_count<2)" in result.render()
-    # the in-process packed sections still ran
-    assert result.payload["settle_packed"]["speedup"] > 0
-    assert result.payload["campaign_packed"]["bitwise_equal"] is True
-
-
-def test_bench_runs_campaign_with_enough_cpus(monkeypatch):
-    from repro.eval import bench
-
-    monkeypatch.setattr(bench, "_cpu_count", lambda: 4)
-    sentinel = {"source": "stub", "speedup": 1.0, "bitwise_equal": True}
-    monkeypatch.setattr(
-        bench, "campaign_comparison", lambda *a, **k: sentinel
-    )
-    result = bench.run(quick=True, write=False)
-    assert result.payload["campaign"] is sentinel
-    assert result.payload["parallel_comparison_valid"] is True
-
-
-# ----------------------------------------------------------------------
 # packed-domain power recording
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("compiled", [False, True])
