@@ -23,7 +23,6 @@ from .stats import BatchRecord, CampaignStats
 from .transport import (
     SHM_THRESHOLD_BYTES,
     TRANSPORTS,
-    SharedTraceBuffer,
     ShardPayload,
     pack_shard,
     resolve_transport,
@@ -62,7 +61,6 @@ __all__ = [
     "CampaignStats",
     "SHM_THRESHOLD_BYTES",
     "TRANSPORTS",
-    "SharedTraceBuffer",
     "ShardPayload",
     "pack_shard",
     "resolve_transport",

@@ -56,7 +56,10 @@ loop enforces all three:
 
 Every runner attaches a :class:`repro.leakage.stats.CampaignStats` to
 its :class:`TvlaResult` so throughput regressions are observable, not
-anecdotal.
+anecdotal.  Its event counts are one account, the
+:mod:`repro.obs.metrics` registry: a worker ships each batch's metrics
+diff on the batch's :class:`BatchRecord`, the parent merges it on
+receipt, and the stats read the parent's counter diff across the run.
 """
 
 from __future__ import annotations
@@ -75,13 +78,8 @@ import numpy as np
 from ..obs import metrics as obs_metrics
 from ..obs.trace import adopt_trace_context, get_tracer, ingest_spans, trace
 from ..sim.bitpack import LANE_BITS, resolve_pack_traces
-from ..sim.compiled import pin_schedule_cache, schedule_cache_counters
+from ..sim.compiled import pin_schedule_cache
 from .stats import BatchRecord, CampaignStats
-
-#: Metric name of the recorder clamp counter (see
-#: ``repro.sim.power.PowerRecorder._note_clamped``); diffed per batch
-#: into :attr:`BatchRecord.clamped_events`.
-_M_CLAMPED = "power.clamped_events"
 from .transport import (
     ShardPayload,
     mark_shard_sent,
@@ -403,22 +401,11 @@ def _batch_accumulator(
 def _timed_batch(
     source: TraceSource, config: CampaignConfig, index: int, n: int
 ) -> Tuple[TTestAccumulator, BatchRecord]:
-    """One batch plus its :class:`BatchRecord` (time, cache deltas)."""
-    c0 = schedule_cache_counters()
-    clamped0 = obs_metrics.counter_value(_M_CLAMPED)
+    """One batch plus its :class:`BatchRecord` (its wall time)."""
     t0 = time.perf_counter()
     with trace("campaign.batch", index=index, n=n):
         acc = _batch_accumulator(source, config, index, n)
-    seconds = time.perf_counter() - t0
-    c1 = schedule_cache_counters()
-    return acc, BatchRecord(
-        index=index,
-        n_traces=n,
-        seconds=seconds,
-        schedule_compiles=c1["compiles"] - c0["compiles"],
-        schedule_replays=c1["hits"] - c0["hits"],
-        clamped_events=int(obs_metrics.counter_value(_M_CLAMPED) - clamped0),
-    )
+    return acc, BatchRecord(index, n, time.perf_counter() - t0)
 
 
 def _warm_source(source: TraceSource) -> float:
@@ -433,23 +420,24 @@ def _warm_source(source: TraceSource) -> float:
     warm = getattr(source, "warmup", None)
     if warm is None:
         return 0.0
-    c0 = schedule_cache_counters()
+    c0 = {
+        key: obs_metrics.counter_value(f"schedule_cache.{key}")
+        for key in ("hits", "compiles")
+    }
     t0 = time.perf_counter()
     with trace("campaign.warmup"):
         circuits = warm() or ()
         for circuit in circuits:
             pin_schedule_cache(circuit)
     seconds = time.perf_counter() - t0
-    # Re-attribute the warm-up's cache activity to dedicated metrics,
-    # so the batch-time ``schedule_cache.hits``/``compiles`` counters
-    # reconcile exactly with the CampaignStats per-batch deltas (whose
-    # documented contract excludes warm-up).
-    c1 = schedule_cache_counters()
-    for key, metric in (("hits", "hits"), ("compiles", "compiles")):
-        delta = c1[key] - c0[key]
+    # Re-attribute the warm-up's cache activity to dedicated metrics, so
+    # the campaign's ``schedule_cache.hits``/``compiles`` diff (which
+    # CampaignStats reads) counts batch-time lookups only.
+    for key, old in c0.items():
+        delta = obs_metrics.counter_value(f"schedule_cache.{key}") - old
         if delta:
-            obs_metrics.inc(f"schedule_cache.warmup_{metric}", delta)
-            obs_metrics.inc(f"schedule_cache.{metric}", -delta)
+            obs_metrics.inc(f"schedule_cache.warmup_{key}", delta)
+            obs_metrics.inc(f"schedule_cache.{key}", -delta)
     return seconds
 
 
@@ -545,7 +533,6 @@ def _worker_batch(
             return _WorkerFailure(
                 index, f"{type(exc).__name__}: {exc}", traceback.format_exc()
             )
-        record.pipe_bytes = payload.pipe_bytes
         # Ship this batch's registry delta (and, when tracing, its
         # spans) to the parent on the record — the worker→parent
         # aggregation path that keeps one metrics snapshot covering the

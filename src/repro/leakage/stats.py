@@ -9,12 +9,13 @@ recording
 * the worker topology actually used (requested vs effective workers,
   the host's CPU count, the pool start method, oversubscription);
 * per-batch wall time and the derived traces/second;
-* shard-transport traffic (which transport, bytes through the result
-  pipe);
-* compile-vs-replay behaviour of the compiled-schedule cache
-  (:func:`repro.sim.compiled.schedule_cache_counters` deltas measured
-  inside the workers) — a warmed campaign must show batch-time
-  ``schedule_compiles == 0``.
+* the campaign's :mod:`repro.obs.metrics` counter diff, taken in the
+  parent across the run after each worker batch's diff was merged in.
+  Every event count is a property over it: shard-transport traffic,
+  compile-vs-replay behaviour of the compiled-schedule cache, clamp
+  events and the supervisor's recovery events.  Warm-ups move their
+  cache lookups to ``schedule_cache.warmup_*``, so a warmed campaign
+  shows ``schedule_compiles == 0``.
 
 ``as_dict()`` is JSON-ready; ``summary()`` renders the two-line
 reading used by the ``repro.eval`` reports.
@@ -23,22 +24,18 @@ reading used by the ``repro.eval`` reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = ["BatchRecord", "CampaignStats"]
 
 
 @dataclass
 class BatchRecord:
-    """Timing and transport accounting of one acquired batch."""
+    """Timing of one acquired batch."""
 
     index: int
     n_traces: int
     seconds: float
-    pipe_bytes: int = 0
-    schedule_compiles: int = 0  #: schedule compiles during this batch
-    schedule_replays: int = 0  #: schedule-cache hits during this batch
-    clamped_events: int = 0  #: recorder clamp events during this batch
     #: Worker-side :mod:`repro.obs.metrics` snapshot diff of this batch
     #: (parallel runs only); consumed — merged into the parent registry
     #: and cleared — on receipt.  Serial batches leave it ``None``.
@@ -46,6 +43,11 @@ class BatchRecord:
     #: Worker-side span dicts of this batch (traced parallel runs
     #: only); consumed into the parent tracer on receipt.
     spans: Optional[List[dict]] = None
+
+
+def _counted(metric: str) -> property:
+    """A read-only stat: counter ``metric`` of the campaign's diff."""
+    return property(lambda self: int(self.counters.get(metric, 0)))
 
 
 @dataclass
@@ -63,21 +65,40 @@ class CampaignStats:
     transport: str = "none"
     wall_seconds: float = 0.0
     warmup_seconds: float = 0.0
-    pool_rebuilds: int = 0  #: pool teardowns after a failed batch
-    restarts: int = 0  #: supervisor: times the campaign resumed from disk
-    watchdog_kills: int = 0  #: supervisor: pools killed by the watchdog
-    checkpoint_restores: int = 0  #: fallbacks to an older checkpoint generation
-    checkpoints_quarantined: int = 0  #: corrupt checkpoint files set aside
     quarantined_batches: List[int] = field(default_factory=list)
     #: traces not acquired because their batch was quarantined
     skipped_traces: int = 0
-    scavenged_segments: int = 0  #: orphaned shm segments reclaimed
     batches: List[BatchRecord] = field(default_factory=list)
     #: Per-phase timing histograms (``phase -> {count, total_s, min_s,
     #: max_s}``), attached by the runners when the campaign ran with
     #: tracing enabled (see :func:`repro.obs.summary.campaign_phases`);
     #: empty for untraced runs.
     phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: The registry counters that moved across the run (``metric ->
+    #: delta``; :attr:`repro.obs.metrics.MetricsSnapshot.counters` of
+    #: the parent's diff), set when the campaign loop exits.
+    counters: Dict[str, float] = field(default_factory=dict)
+
+    #: Shard bytes through the pool's result pipe.
+    pipe_bytes = _counted("transport.pipe_bytes")
+    #: Schedule compiles during batch acquisition (warm-up excluded).
+    schedule_compiles = _counted("schedule_cache.compiles")
+    #: Schedule-cache hits during batch acquisition.
+    schedule_replays = _counted("schedule_cache.hits")
+    #: Recorder clamp events (see :class:`repro.sim.power.ClampedEventWarning`).
+    clamped_events = _counted("power.clamped_events")
+    #: Times the campaign resumed from disk (cumulative over resumes).
+    restarts = _counted("supervisor.restarts")
+    #: Pools killed by the watchdog (cumulative over resumes).
+    watchdog_kills = _counted("supervisor.watchdog_kills")
+    #: Pool teardowns after a failed batch.
+    pool_rebuilds = _counted("supervisor.pool_rebuilds")
+    #: Fallbacks to an older checkpoint generation.
+    checkpoint_restores = _counted("supervisor.checkpoint_restores")
+    #: Corrupt checkpoint files set aside.
+    checkpoints_quarantined = _counted("supervisor.checkpoints_quarantined")
+    #: Orphaned shm segments reclaimed.
+    scavenged_segments = _counted("transport.scavenged_segments")
 
     # ------------------------------------------------------------------
     @property
@@ -89,27 +110,6 @@ class CampaignStats:
         """End-to-end campaign throughput (merged traces / wall time)."""
         done = sum(b.n_traces for b in self.batches)
         return done / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def pipe_bytes(self) -> int:
-        """Total shard bytes through the pool's result pipe."""
-        return sum(b.pipe_bytes for b in self.batches)
-
-    @property
-    def schedule_compiles(self) -> int:
-        """Schedule compiles during batch acquisition (warm-up excluded)."""
-        return sum(b.schedule_compiles for b in self.batches)
-
-    @property
-    def schedule_replays(self) -> int:
-        """Schedule-cache hits during batch acquisition."""
-        return sum(b.schedule_replays for b in self.batches)
-
-    @property
-    def clamped_events(self) -> int:
-        """Recorder clamp events across all batches (see
-        :class:`repro.sim.power.ClampedEventWarning`)."""
-        return sum(b.clamped_events for b in self.batches)
 
     def batch_seconds(self) -> Dict[str, float]:
         """Min / median / max per-batch wall time."""
@@ -155,50 +155,6 @@ class CampaignStats:
             "scavenged_segments": self.scavenged_segments,
             "batch_seconds": self.batch_seconds(),
             "phases": {k: dict(v) for k, v in self.phases.items()},
-        }
-
-    def reconcile(self, metrics_diff) -> Dict[str, Tuple[int, int]]:
-        """Cross-check these counters against an obs metrics diff.
-
-        ``metrics_diff`` is a :class:`repro.obs.metrics.MetricsSnapshot`
-        (or its ``as_dict()``) diffed across the campaign run in the
-        parent process.  Every counter here has exactly one registry
-        metric behind it, so an undisturbed run must agree exactly;
-        returns the mismatches as ``name -> (stats_value,
-        metrics_value)`` — empty means fully reconciled.
-        """
-        counters = (
-            metrics_diff.get("counters", {})
-            if isinstance(metrics_diff, dict)
-            else metrics_diff.counters
-        )
-        checks = {
-            "pipe_bytes": (
-                self.pipe_bytes, counters.get("transport.pipe_bytes", 0),
-            ),
-            "schedule_replays": (
-                self.schedule_replays,
-                counters.get("schedule_cache.hits", 0),
-            ),
-            "schedule_compiles": (
-                self.schedule_compiles,
-                counters.get("schedule_cache.compiles", 0),
-            ),
-            "clamped_events": (
-                self.clamped_events, counters.get("power.clamped_events", 0),
-            ),
-            "restarts": (
-                self.restarts, counters.get("supervisor.restarts", 0),
-            ),
-            "scavenged_segments": (
-                self.scavenged_segments,
-                counters.get("transport.scavenged_segments", 0),
-            ),
-        }
-        return {
-            name: (int(a), int(b))
-            for name, (a, b) in checks.items()
-            if int(a) != int(b)
         }
 
     def robustness_events(self) -> Dict[str, int]:

@@ -26,8 +26,9 @@ abnormal exit.  The loop is hardened against each:
   (batch index, busy flag, pid) before and after each batch.  A worker
   that died with a batch still pending, a busy worker whose heartbeat
   goes stale, or a head batch exceeding ``worker_timeout_s`` gets the
-  pool killed and the batch reassigned.  Kills are counted in
-  :attr:`CampaignStats.watchdog_kills`.
+  pool killed and the batch reassigned.  Kills are counted in the
+  ``supervisor.watchdog_kills`` metric, which
+  :attr:`CampaignStats.watchdog_kills` reads.
 * **Poison-batch quarantine** — a batch that keeps failing across
   pool generations (``max_retries`` exceeded, failures observed from
   at least two distinct worker generations) is recorded in
@@ -156,7 +157,7 @@ class CampaignInterrupted(RuntimeError):
 # ----------------------------------------------------------------------
 @dataclass
 class SupervisorCheckpoint:
-    """A validated v2 checkpoint, plus what loading it cost."""
+    """A validated v2 checkpoint, and whether loading it fell back."""
 
     acc: TTestAccumulator
     next_batch: int
@@ -164,7 +165,6 @@ class SupervisorCheckpoint:
     watchdog_kills: int
     quarantined: List[int]
     used_fallback: bool  #: True when ``<path>.prev`` had to be used
-    files_quarantined: int  #: corrupt generations set aside during load
 
 
 def _payload_crc(arrays: Dict[str, np.ndarray]) -> int:
@@ -193,6 +193,7 @@ def quarantine_checkpoint(path: str, reason: str) -> str:
     The corrupt file is preserved as ``<path>.corrupt`` for post-mortems
     (overwriting any previous quarantine of the same path) so the
     campaign can restart cleanly without destroying the evidence.
+    Counted in ``supervisor.checkpoints_quarantined``.
     """
     target = f"{path}.corrupt"
     try:
@@ -205,6 +206,7 @@ def quarantine_checkpoint(path: str, reason: str) -> str:
     )
     _LOG.warning("%s", msg)
     warnings.warn(msg, RuntimeWarning, stacklevel=3)
+    obs_metrics.inc("supervisor.checkpoints_quarantined")
     return target
 
 
@@ -314,7 +316,6 @@ def _read_v2(
         watchdog_kills=int(data["watchdog_kills"]),
         quarantined=[int(q) for q in data["quarantined"]],
         used_fallback=False,
-        files_quarantined=0,
     )
 
 
@@ -324,7 +325,8 @@ def load_checkpoint_supervised(
     """Load the newest good checkpoint generation.
 
     Tries ``path`` first, then ``<path>.prev``.  Corrupt generations
-    are quarantined (``.corrupt``) with a warning and skipped; the
+    are quarantined (``.corrupt``, counted in
+    ``supervisor.checkpoints_quarantined``) with a warning and skipped; the
     fallback re-simulates the batches merged between the two writes
     (at most ``checkpoint_interval_s`` of progress plus one batch) and
     keeps the resumed result bitwise identical.
@@ -332,22 +334,16 @@ def load_checkpoint_supervised(
     Returns ``None`` when no generation is loadable — the campaign
     starts fresh.
     """
-    files_quarantined = 0
     for candidate, is_fallback in (
         (path, False),
         (_previous_path(path), True),
     ):
         if not os.path.exists(candidate):
             continue
-        before = os.path.exists(candidate)
         loaded = _read_v2(candidate, config, n_samples)
-        if loaded is None:
-            if before and not os.path.exists(candidate):
-                files_quarantined += 1
-            continue
-        loaded.used_fallback = is_fallback
-        loaded.files_quarantined = files_quarantined
-        return loaded
+        if loaded is not None:
+            loaded.used_fallback = is_fallback
+            return loaded
     return None
 
 
@@ -501,7 +497,9 @@ def _campaign_loop(
     """The one campaign batch loop; every runner is a thin call into it.
 
     Yields the merged accumulator after each batch (in batch order) and
-    returns it once the plan is done; fills ``stats`` as it goes.  The
+    returns it once the plan is done; fills ``stats`` as it goes, and
+    on exit sets ``stats.counters`` to the registry counter diff across
+    the run, every worker batch's diff merged in.  The
     defaults are :func:`~repro.leakage.acquisition.run_campaign`'s
     fail-fast contract, and ``checkpoint_path=None`` turns
     checkpointing off.  The arguments are those of
@@ -518,6 +516,13 @@ def _campaign_loop(
         raise ValueError(
             f"stop_after_batches must be >= 1, got {stop_after_batches}"
         )
+
+    # The campaign's one account: stats.counters is this diff at exit.
+    before = obs_metrics.snapshot()
+
+    def counted(metric: str) -> int:
+        """This run's delta of registry counter ``metric`` so far."""
+        return int(obs_metrics.counter_value(metric) - before.counter(metric))
 
     plan = _batch_plan(config)
     requested = config.n_workers if n_workers is None else n_workers
@@ -555,16 +560,12 @@ def _campaign_loop(
         if loaded is not None:
             acc, start = loaded.acc, loaded.next_batch
             quarantined = list(loaded.quarantined)
-            stats.restarts = loaded.restarts + 1
-            obs_metrics.inc("supervisor.restarts", stats.restarts)
-            stats.watchdog_kills = loaded.watchdog_kills
-            stats.checkpoint_restores += int(loaded.used_fallback)
-            stats.checkpoints_quarantined += loaded.files_quarantined
-        else:
-            if os.path.exists(checkpoint_path) or os.path.exists(
-                _previous_path(checkpoint_path)
-            ):  # pragma: no cover - both-corrupt double fault
-                stats.checkpoints_quarantined += 1
+            # The checkpoint's totals enter this run's counters once, so
+            # the stats and the next checkpoint stay cumulative.
+            obs_metrics.inc("supervisor.restarts", loaded.restarts + 1)
+            obs_metrics.inc("supervisor.watchdog_kills", loaded.watchdog_kills)
+            if loaded.used_fallback:
+                obs_metrics.inc("supervisor.checkpoint_restores")
     stats.quarantined_batches = quarantined
     stats.skipped_traces = sum(plan[q][1] for q in quarantined)
 
@@ -584,8 +585,8 @@ def _campaign_loop(
                 acc,
                 config,
                 next_batch=next_batch,
-                restarts=stats.restarts,
-                watchdog_kills=stats.watchdog_kills,
+                restarts=counted("supervisor.restarts"),
+                watchdog_kills=counted("supervisor.watchdog_kills"),
                 quarantined=quarantined,
             )
         obs_metrics.inc("supervisor.checkpoints_written")
@@ -690,7 +691,7 @@ def _campaign_loop(
             # a true orphan: in-flight shards of a cancelled run, or
             # leftovers of killed workers.
             with trace("campaign.scavenge"):
-                stats.scavenged_segments += len(scavenge_orphans())
+                scavenge_orphans()
         pool = None
         hb = None
         pending = {}
@@ -710,9 +711,8 @@ def _campaign_loop(
         if pool is not None:
             # Whatever went wrong, the next attempt gets a fresh pool:
             # the failure may be environmental.
-            stats.pool_rebuilds += 1
+            obs_metrics.inc("supervisor.pool_rebuilds")
             if isinstance(exc, _HungPool):
-                stats.watchdog_kills += 1
                 obs_metrics.inc("supervisor.watchdog_kills")
             teardown_pool()
         deterministic = isinstance(exc, CampaignBatchError)
@@ -838,6 +838,7 @@ def _campaign_loop(
             flush(i)
         run_span.__exit__(None, None, None)
         stats.wall_seconds = time.perf_counter() - t_start
+        stats.counters = obs_metrics.snapshot().diff(before).counters
         tracer = get_tracer()
         if tracer is not None:  # traced run: attach the phase breakdown
             stats.phases = campaign_phases(tracer.spans(since=span_mark))

@@ -31,21 +31,6 @@ Both paths are bitwise-lossless: the parent reconstructs the exact
 float64 sums the worker computed, so the merge order — and therefore
 the campaign's bitwise-equal-to-serial guarantee — is untouched.
 
-Raw traces
-----------
-Most campaigns never need raw traces in the parent (the accumulator is
-a sufficient statistic), but attack runners and trace dumps do.  For
-them :class:`SharedTraceBuffer` provides the same opt-in
-shared-memory hand-off for full ``(n_traces, n_samples)`` power
-matrices: the producer writes into a named segment, the consumer
-adopts it without the matrix ever touching a pipe.
-
-Ownership protocol: the **creating** process calls :meth:`close` (and
-deregisters itself); the **consuming** process calls :meth:`unlink`
-after reading.  A consumer that never materialises would historically
-leak the segment until interpreter shutdown; the scavenger below
-closes that hole.
-
 Orphan scavenging
 -----------------
 A segment whose creator was SIGKILLed mid-batch, or whose consumer
@@ -75,7 +60,7 @@ import os
 import secrets
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set
 
 import numpy as np
 
@@ -104,7 +89,6 @@ __all__ = [
     "unpack_shard",
     "mark_shard_sent",
     "adopt_shard",
-    "SharedTraceBuffer",
     "new_campaign_prefix",
     "set_segment_prefix",
     "segment_prefix",
@@ -269,8 +253,7 @@ def scavenge_orphans(prefix: Optional[str] = None) -> List[str]:
 
     1. the process-local registry — segments created or adopted here
        whose release never happened (consumer died between send and
-       :func:`unpack_shard`, exception between publish and
-       materialise);
+       :func:`unpack_shard`);
     2. with ``prefix`` (or a campaign prefix installed via
        :func:`set_segment_prefix`), a scan of ``/dev/shm`` for on-disk
        segments carrying that prefix — segments created by a worker
@@ -487,77 +470,3 @@ def _unpack_shard(payload: ShardPayload) -> TTestAccumulator:
         shm.unlink()
         _release_segment(payload.shm_name)
     return acc
-
-
-@dataclass
-class SharedTraceBuffer:
-    """A raw ``(n_traces, n_samples)`` power matrix in shared memory.
-
-    Opt-in path for runners that need the traces themselves (CPA
-    attacks, trace dumps) rather than the accumulator: the producer
-    :meth:`publish`-es a matrix, ships this handle (a name and a
-    shape) through the pipe, and the consumer :meth:`materialise`-s it.
-    """
-
-    shm_name: str
-    shape: Tuple[int, int]
-    dtype_str: str
-
-    @classmethod
-    def publish(cls, traces: np.ndarray) -> "SharedTraceBuffer":
-        """Copy ``traces`` into a fresh segment (producer side).
-
-        The name stays in the producer's segment registry until a
-        consumer :meth:`materialise`-s / :meth:`discard`-s it (which
-        unlinks) or the producer exits (whose finalizer unlinks any
-        still-existing segment) — a consumer that dies between send and
-        read no longer leaks the segment forever.
-        """
-        from multiprocessing import resource_tracker
-
-        traces = np.ascontiguousarray(traces)
-        shm = _create_segment(traces.nbytes)
-        np.ndarray(traces.shape, traces.dtype, buffer=shm.buf)[:] = traces
-        name = shm.name
-        shm.close()
-        try:  # pragma: no cover - see pack_shard
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-        return cls(
-            shm_name=name,
-            shape=tuple(traces.shape),
-            dtype_str=traces.dtype.str,
-        )
-
-    def materialise(self) -> np.ndarray:
-        """Copy the matrix out and release the segment (consumer side).
-
-        Raises:
-            TransportError: The segment vanished before it could be
-                read (producer died mid-handoff or already scavenged).
-        """
-        from multiprocessing import shared_memory
-
-        try:
-            shm = shared_memory.SharedMemory(name=self.shm_name)
-        except FileNotFoundError as exc:
-            _release_segment(self.shm_name)
-            raise TransportError(
-                "SharedTraceBuffer.materialise",
-                self.shm_name,
-                f"segment missing: {exc}",
-            ) from exc
-        try:
-            return np.ndarray(
-                self.shape, np.dtype(self.dtype_str), buffer=shm.buf
-            ).copy()
-        finally:
-            shm.close()
-            shm.unlink()
-            _release_segment(self.shm_name)
-
-    def discard(self) -> None:
-        """Release the segment without reading it (idempotent)."""
-        _unlink_quietly(self.shm_name)
-        _release_segment(self.shm_name)

@@ -9,9 +9,10 @@ pipeline:
   guaranteed not to perturb results (bitwise-identical campaigns with
   tracing on or off).
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms
-  with labels; the single backing store behind
-  ``schedule_cache_counters``, ``packed_accumulator_counters``,
-  transport pipe bytes, supervisor restarts and clamped-event counts.
+  with labels; the single backing store behind the schedule-cache
+  counters, ``packed_accumulator_counters``, transport pipe bytes,
+  supervisor recovery events and clamped-event counts — every event
+  count ``CampaignStats`` reports.
   Snapshots diff and merge associatively, so workers ship per-batch
   diffs to the parent over the existing moments transport.
 * :mod:`repro.obs.export` — JSONL and Chrome trace-event (Perfetto)

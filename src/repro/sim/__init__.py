@@ -22,7 +22,6 @@ from .compiled import (
     StaleScheduleError,
     compile_schedule,
     pin_schedule_cache,
-    schedule_cache_counters,
     schedule_cache_info,
     unpin_schedule_cache,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "StaleScheduleError",
     "compile_schedule",
     "pin_schedule_cache",
-    "schedule_cache_counters",
     "schedule_cache_info",
     "unpin_schedule_cache",
     "CouplingModel",

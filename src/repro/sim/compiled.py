@@ -99,7 +99,6 @@ __all__ = [
     "compile_schedule",
     "lookup_or_compile",
     "schedule_cache_info",
-    "schedule_cache_counters",
     "pin_schedule_cache",
     "unpin_schedule_cache",
     "replay",
@@ -395,9 +394,8 @@ class _CircuitCache:
 _CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 #: Registry metric names for the per-process totals across all
-#: circuits (backed by :mod:`repro.obs.metrics`).  Campaign workers
-#: snapshot these around each batch to report compile-vs-replay
-#: behaviour.
+#: circuits (backed by :mod:`repro.obs.metrics`); a campaign reads its
+#: compile-vs-replay behaviour from their diff across the run.
 _METRIC_HITS = "schedule_cache.hits"
 _METRIC_COMPILES = "schedule_cache.compiles"
 
@@ -496,26 +494,6 @@ def schedule_cache_info(circuit) -> Dict[str, int]:
         "hits": cache.hits,
         "compiles": cache.compiles,
         "pinned": cache.pinned,
-    }
-
-
-def schedule_cache_counters() -> Dict[str, int]:
-    """Per-process totals: schedule-cache ``hits`` and ``compiles``.
-
-    Campaign workers snapshot this before and after each batch; the
-    deltas travel back with the shard, so
-    :class:`repro.leakage.stats.CampaignStats` can prove that workers
-    replayed warm schedules instead of recompiling them.
-
-    Backed by the :mod:`repro.obs.metrics` registry (metric names
-    ``schedule_cache.hits`` / ``schedule_cache.compiles``); this
-    function is a stable re-export.  Campaign warm-ups re-attribute
-    their lookups to ``schedule_cache.warmup_*`` so the batch-time
-    counters reconcile exactly with ``CampaignStats``.
-    """
-    return {
-        "hits": int(obs_metrics.counter_value(_METRIC_HITS)),
-        "compiles": int(obs_metrics.counter_value(_METRIC_COMPILES)),
     }
 
 

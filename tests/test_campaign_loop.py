@@ -385,6 +385,27 @@ def test_killed_worker_is_retried_and_result_bitwise(tmp_path):
     )
     assert flag.exists()  # the kill really happened
     assert res.stats.pool_rebuilds == 1
+    assert res.stats.watchdog_kills == 1
+    assert_same_result(res, run_campaign(Synth(), cfg))
+
+
+@pytest.mark.slow
+def test_recovery_counts_stay_cumulative_across_a_resume(tmp_path):
+    """A kill before an interruption is still counted after the resume:
+    the checkpoint's totals enter the resumed run's counters once."""
+    cfg = CampaignConfig(**SYNTH_CFG, label="kill-resume")
+    flag = tmp_path / "killed.flag"
+    path = str(tmp_path / "ckpt.npz")
+    with pytest.raises(CampaignInterrupted):
+        _quiet(
+            _supervised, KillOnce(flag), cfg, path, n_workers=2,
+            worker_timeout_s=3.0, max_retries=2, backoff_s=0.05,
+            stop_after_batches=3,
+        )
+    assert flag.exists()  # the kill happened before the stop
+    res = _supervised(Synth(), cfg, path, n_workers=1)
+    assert res.stats.restarts == 1
+    assert res.stats.watchdog_kills == 1
     assert_same_result(res, run_campaign(Synth(), cfg))
 
 

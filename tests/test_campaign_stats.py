@@ -118,17 +118,22 @@ def test_stats_as_dict_and_summary():
         label="x", n_traces=100, batch_size=50, requested_workers=2,
         n_workers=2, cpu_count=4, start_method="fork", transport="pickle",
         wall_seconds=2.0,
-        batches=[
-            BatchRecord(0, 50, 0.5, pipe_bytes=100, schedule_replays=1),
-            BatchRecord(1, 50, 1.0, pipe_bytes=100, schedule_compiles=1),
-        ],
+        batches=[BatchRecord(0, 50, 0.5), BatchRecord(1, 50, 1.0)],
+        counters={
+            "transport.pipe_bytes": 200,
+            "schedule_cache.compiles": 1,
+            "schedule_cache.hits": 3,
+            "supervisor.watchdog_kills": 1,
+        },
     )
     d = s.as_dict()
     assert d["n_batches"] == 2
     assert d["traces_per_second"] == 50.0
     assert d["pipe_bytes"] == 200
     assert d["schedule_compiles"] == 1
-    assert d["schedule_replays"] == 1
+    assert d["schedule_replays"] == 3
+    assert d["clamped_events"] == 0  # absent from the diff: nothing moved
+    assert s.robustness_events() == {"watchdog_kills": 1}
     assert d["batch_seconds"] == {"min": 0.5, "median": 0.75, "max": 1.0}
     import json
 

@@ -32,6 +32,7 @@ from repro.leakage.supervisor import (
 )
 from repro.leakage.transport import new_campaign_prefix, scavenge_orphans
 from repro.leakage.tvla import TTestAccumulator
+from repro.obs import metrics as obs_metrics
 
 CFG = dict(n_traces=1000, batch_size=100, noise_sigma=0.5, seed=11)
 
@@ -103,7 +104,6 @@ def test_supervised_checkpoint_roundtrip(tmp_path):
     assert loaded.watchdog_kills == 1
     assert loaded.quarantined == [5]
     assert not loaded.used_fallback
-    assert loaded.files_quarantined == 0
     assert np.array_equal(loaded.acc.t_stats(1), acc.t_stats(1))
     assert not os.path.exists(path + ".tmp")
 
@@ -132,11 +132,13 @@ def test_truncated_file_falls_back_to_previous_generation(tmp_path):
     assert os.path.exists(path + ".prev")
     with open(path, "rb+") as f:
         f.truncate(os.path.getsize(path) // 3)
+    before = obs_metrics.snapshot()
     with pytest.warns(RuntimeWarning):
         loaded = load_checkpoint_supervised(path, cfg, 16)
+    quarantined = obs_metrics.snapshot().diff(before)
+    assert quarantined.counter("supervisor.checkpoints_quarantined") == 1
     assert loaded is not None
     assert loaded.used_fallback
-    assert loaded.files_quarantined == 1
     assert loaded.next_batch == 1
     assert os.path.exists(path + ".corrupt")
 
@@ -279,6 +281,31 @@ def test_stop_after_batches_interrupts_resumably(tmp_path):
     assert res.stats.restarts == 1
     assert_same_result(res, run_campaign(Synth(), cfg))
     assert not os.path.exists(marker_path(path))
+
+
+def test_resume_with_both_generations_corrupt_counts_both(tmp_path):
+    """No loadable generation: the run starts fresh and bitwise, and its
+    stats count both files it set aside."""
+    cfg = CampaignConfig(**CFG, label="both-corrupt")
+    path = str(tmp_path / "ckpt.npz")
+    with pytest.raises(CampaignInterrupted):
+        run_campaign_supervised(
+            Synth(), cfg, path, n_workers=1, handle_signals=False,
+            checkpoint_interval_s=0, stop_after_batches=3,
+        )
+    for generation in (path, path + ".prev"):
+        with open(generation, "rb+") as f:
+            f.write(b"\xff" * 16)
+    with pytest.warns(RuntimeWarning, match="quarantin"):
+        res = run_campaign_supervised(
+            Synth(), cfg, path, n_workers=1, handle_signals=False
+        )
+    assert res.stats.checkpoints_quarantined == 2
+    assert res.stats.checkpoint_restores == 0
+    assert res.stats.restarts == 0
+    assert_same_result(res, run_campaign(Synth(), cfg))
+    assert os.path.exists(path + ".corrupt")
+    assert os.path.exists(path + ".prev.corrupt")
 
 
 def test_cleanup_false_keeps_loadable_checkpoint(tmp_path):
