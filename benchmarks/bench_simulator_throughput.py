@@ -45,6 +45,14 @@ DES_CONFIG = CampaignConfig(
     n_traces=512, batch_size=512, noise_sigma=1.0, seed=0
 )
 
+#: Packed masked-DES campaign of the tracing-overhead gate: four
+#: 512-trace batches, ~1.5 s per run on a 2-CPU host.  A run of the
+#: one-batch ``DES_CONFIG`` (~0.4 s) is short enough that scheduler
+#: noise alone spans the 5% bound.
+OBS_CONFIG = CampaignConfig(
+    n_traces=2048, batch_size=512, noise_sigma=1.0, seed=0, pack_traces=True
+)
+
 
 def alternating_blocks(run_a, prep_a, run_b, prep_b, reps, rounds=3):
     """Time two workloads in alternating per-leg blocks.
@@ -247,31 +255,31 @@ def test_bench_campaign_serial_vs_parallel(des_source):
 def test_bench_obs_overhead(des_source):
     """Tracing a packed campaign must cost <= 5% and change no bits.
 
-    The packed leg of the campaign bench, run with :mod:`repro.obs`
-    span tracing on (a fresh tracer per run, so the ring never wraps)
-    and off.  The traced t-statistics must equal the untraced ones
-    bitwise and the trace must hold spans: tracing observes the
-    campaign, never perturbs it.
+    A four-batch packed masked-DES campaign (``OBS_CONFIG``), run with
+    :mod:`repro.obs` span tracing on (a fresh tracer per run, so the
+    ring never wraps) and off.  The traced t-statistics must equal the
+    untraced ones bitwise and the trace must hold spans: tracing
+    observes the campaign, never perturbs it.
     """
-    cfg = replace(DES_CONFIG, pack_traces=True)
     latest = {}
     spans = []
 
     def run_off():
-        latest["untraced"] = run_campaign(des_source, cfg, n_workers=1)
+        latest["untraced"] = run_campaign(des_source, OBS_CONFIG, n_workers=1)
 
     def run_on():
-        latest["traced"] = run_campaign(des_source, cfg, n_workers=1)
+        latest["traced"] = run_campaign(des_source, OBS_CONFIG, n_workers=1)
         spans[:] = get_tracer().drain()
 
-    # The campaign takes well under a second; five runs per leg block
-    # keep each round's ratio above the host's run-to-run noise (one
-    # run per block swung it by +-6%), and five rounds keep the median
-    # ratio off the bound (three rounds read -2% to +4% on a 2-CPU
-    # host whose per-leg medians differed by under 1%).
+    # Each run takes ~1.5 s, long enough to average out the scheduler
+    # noise that swung the one-batch campaign's (~0.4 s) ratio across
+    # the bound.  Slowdowns on a shared host last several seconds, so
+    # the legs alternate run by run (a block of three runs per leg let
+    # one burst land on one leg: +26% and -8% in back-to-back runs),
+    # and the median of 21 adjacent-pair ratios is the reading.
     try:
         t_on, t_off, ratio = alternating_blocks(
-            run_on, enable_tracing, run_off, disable_tracing, 5, rounds=5
+            run_on, enable_tracing, run_off, disable_tracing, 1, rounds=21
         )
     finally:
         disable_tracing()

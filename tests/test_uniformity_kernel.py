@@ -10,8 +10,12 @@ oracle's float exactly, for every target, for the all-kept, all-dropped
 and greedy-found masks, over several seeds and sample counts that are
 not multiples of 64 (so the padding bits of the last word are masked).
 The pinned plans below are the refresh search's outputs from before the
-kernel existed; they must not move.
+kernel existed; they must not move.  The kernel reads its sample bits
+from raw PCG64 words; the historical per-input ``integers(0, 2, ...)``
+draw is the oracle of that too, and the draw stays in bounded blocks.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +25,15 @@ from repro.compile.lower import lower
 from repro.compile.model import PlanModel
 from repro.compile.model import uniformity_defect as plan_defect
 from repro.compile.refresh import plan_refresh
-from repro.core.refresh_search import sampled_uniformity_defect
+from repro.core.refresh_search import (
+    _draw_packed_samples,
+    sampled_uniformity_defect,
+)
 from repro.des.bits import int_to_bitarray
 from repro.des.masked_core import MaskedSboxModel
 from repro.des.selective_refresh import greedy_minimal_refresh
 from repro.des.selective_refresh import uniformity_defect as des_defect
+from repro.sim.bitpack import LANE_BITS, n_lanes
 
 SAMPLE_COUNTS = (100, 800, 1500)
 SEEDS = (0, 5)
@@ -162,6 +170,59 @@ def test_des_defect_matches_per_input_loop(sbox):
 # ----------------------------------------------------------------------
 # the kernel itself
 # ----------------------------------------------------------------------
+def legacy_packed_samples(seed, n_rows, n_values, n_per_input):
+    """Pack the historical per-input draws, padding bits zero."""
+    rng = np.random.default_rng(seed)
+    drawn = np.zeros(
+        (n_rows, n_values, n_lanes(n_per_input) * LANE_BITS), dtype=bool
+    )
+    for value in range(n_values):
+        drawn[:, value, :n_per_input] = rng.integers(
+            0, 2, (n_rows, n_per_input), dtype=np.uint32
+        )
+    return np.packbits(drawn, axis=-1, bitorder="little").view(np.uint64)
+
+
+@pytest.mark.parametrize("n_per_input", (1, 63, 64, 65, 800))
+@pytest.mark.parametrize(
+    "n_inputs, n_rows",
+    # (0, 7) draws an odd 7 x 63 values: the last 32-bit output is the
+    # low half of a word whose high half is never used
+    [(0, 7), (0, 1), (1, 3), (3, 5), (6, 20)],
+)
+@pytest.mark.parametrize("seed", (0, 1, 99))
+def test_raw_word_draw_matches_bounded_integers(
+    seed, n_inputs, n_rows, n_per_input
+):
+    n_values = 1 << n_inputs
+    got = _draw_packed_samples(
+        np.random.default_rng(seed), n_rows, n_values, n_per_input
+    )
+    want = legacy_packed_samples(seed, n_rows, n_values, n_per_input)
+    assert got.dtype == np.uint64
+    assert got.shape == want.shape == (
+        n_rows, n_values, n_lanes(n_per_input)
+    )
+    assert np.array_equal(got, want)
+
+
+def test_des_shaped_defect_peak_memory_stays_bounded():
+    # one DES-shaped call (6 inputs, 14 refresh bits, 800 samples each):
+    # the per-input bool staging array peaked at 1.15 MiB, and drawing
+    # the whole sample's raw words at once costs ~5 MiB more; the
+    # blocked draw must stay under the former
+    model = PlanModel(lower(des_sbox_spec(0)))
+    mask = (True,) * model.n_rand
+    plan_defect(model, mask, 800, 0)  # warm caches outside the window
+    tracemalloc.start()
+    try:
+        plan_defect(model, mask, 800, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * 2**20, peak / 2**20
+
+
 def test_kernel_layout_and_padding_mask():
     # a model that exposes its raw inputs: s0 ^ s1 must be the unshared
     # input and every group sample must be counted exactly once
