@@ -3,11 +3,10 @@
 ``repro.chaos`` proves the recovery claims of
 :mod:`repro.leakage.supervisor` instead of asserting them: a seeded
 :class:`ChaosPolicy` injects exactly one process-level failure — a
-SIGKILLed worker, a hung worker, a corrupted or truncated checkpoint, a
-dropped shared-memory segment, an exception mid-batch — into a running
-campaign, and the harness demands either a bitwise-identical recovered
-result or a structured error naming the failed component, with zero
-orphaned shared-memory segments either way.
+SIGKILLed worker, a hung worker, a corrupted or truncated checkpoint,
+an exception mid-batch — into a running campaign, and the harness
+demands either a bitwise-identical recovered result or a structured
+error naming the failed component.
 
 Run the matrix from the command line::
 

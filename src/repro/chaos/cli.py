@@ -1,9 +1,8 @@
 """``python -m repro chaos`` — run the chaos matrix from the shell.
 
 Exit status 0 only when every scenario upholds the supervisor's
-contract (injection fired; bitwise recovery or structured error; zero
-orphaned shared-memory segments).  Intended for CI resilience jobs and
-manual soak runs.
+contract (injection fired; bitwise recovery or structured error).
+Intended for CI resilience jobs and manual soak runs.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(rule())
     print(
         render_table(
-            ["mode", "seed", "injected", "outcome", "orphans", "verdict",
+            ["mode", "seed", "injected", "outcome", "verdict",
              "time", "recovery events"],
             [r.row() for r in results],
         )
@@ -69,7 +68,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if args.json:
         payload = {
-            "schema": "chaos_matrix/v1",
+            "schema": "chaos_matrix/v2",
             "scenarios": [
                 {
                     "mode": r.mode,
@@ -78,7 +77,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "recovered": r.recovered,
                     "bitwise": r.bitwise,
                     "structured_error": r.structured_error,
-                    "orphaned_segments": r.orphaned_segments,
                     "stats": r.stats,
                     "seconds": r.seconds,
                     "ok": r.ok,

@@ -7,11 +7,9 @@ outcome to the supervisor's contract:
 * the final :class:`~repro.leakage.tvla.TvlaResult` is **bitwise
   identical** to an undisturbed serial run, or the run ended in a
   **structured error naming the failed component**
-  (:class:`CampaignBatchError`, :class:`CampaignInterrupted`,
-  :class:`TransportError` — never a hang, never a bare stack trace
-  from the middle of the pool machinery);
-* :func:`repro.leakage.transport.scavenge_orphans` finds **zero
-  orphaned shared-memory segments** afterwards;
+  (:class:`CampaignBatchError`, :class:`CampaignInterrupted` — never a
+  hang, never a bare stack trace from the middle of the pool
+  machinery);
 * the injection **really happened** (the policy's one-shot flag was
   taken) — a chaos suite whose failures silently stop firing proves
   nothing.
@@ -34,11 +32,6 @@ from ..leakage.acquisition import CampaignConfig, run_campaign
 from ..leakage.supervisor import CampaignInterrupted, run_campaign_supervised
 from ..obs.log import get_logger
 from ..obs.trace import trace
-from ..leakage.transport import (
-    scavenge_orphans,
-    set_chaos_hook,
-    shared_memory_available,
-)
 from .policy import CHECKPOINT_MODES, FAILURE_MODES, ChaosPolicy
 
 __all__ = [
@@ -114,7 +107,6 @@ class ScenarioResult:
     recovered: bool  #: the campaign produced a final result
     bitwise: bool  #: ... bitwise equal to the undisturbed run
     structured_error: Optional[str] = None  #: error type when not recovered
-    orphaned_segments: List[str] = field(default_factory=list)
     stats: Dict[str, int] = field(default_factory=dict)
     seconds: float = 0.0
 
@@ -122,11 +114,11 @@ class ScenarioResult:
     def ok(self) -> bool:
         """The supervisor's contract held for this scenario.
 
-        Injection fired, no shm orphans, and the run either recovered
-        bitwise or died with a structured, attributable error.  A
-        checkpoint mode must also have quarantined the damaged file and
-        resumed from the previous generation: a silent restart from
-        scratch is bitwise equal too, but exercises no fallback.
+        Injection fired, and the run either recovered bitwise or died
+        with a structured, attributable error.  A checkpoint mode must
+        also have quarantined the damaged file and resumed from the
+        previous generation: a silent restart from scratch is bitwise
+        equal too, but exercises no fallback.
         """
         outcome = (self.recovered and self.bitwise) or (
             not self.recovered and self.structured_error is not None
@@ -136,7 +128,7 @@ class ScenarioResult:
                 self.stats.get("checkpoints_quarantined", 0) >= 1
                 and self.stats.get("checkpoint_restores", 0) == 1
             )
-        return self.injected and outcome and not self.orphaned_segments
+        return self.injected and outcome
 
     def row(self) -> List[str]:
         outcome = (
@@ -150,7 +142,6 @@ class ScenarioResult:
             str(self.seed),
             "yes" if self.injected else "NO",
             outcome,
-            str(len(self.orphaned_segments)),
             "ok" if self.ok else "FAIL",
             f"{self.seconds:.1f}s",
             events,
@@ -158,20 +149,18 @@ class ScenarioResult:
 
 
 #: Structured errors a scenario may legitimately end in: each names the
-#: failing component (batch, campaign state, transport segment).
+#: failing component (batch, campaign state).
 _STRUCTURED = (CampaignInterrupted,)
 
 
 def _campaign_config(mode: str, seed: int, quick: bool) -> CampaignConfig:
     n_traces = 800 if quick else 2000
-    transport = "shared_memory" if mode == "drop_shm" else "auto"
     return CampaignConfig(
         n_traces=n_traces,
         batch_size=100,
         noise_sigma=0.5,
         seed=seed,
         label=f"chaos-{mode}-s{seed}",
-        transport=transport,
     )
 
 
@@ -194,13 +183,6 @@ def run_chaos_scenario(
     """
     if mode not in FAILURE_MODES:
         raise ValueError(f"mode must be one of {FAILURE_MODES}, got {mode!r}")
-    if mode == "drop_shm" and not shared_memory_available():
-        # Nothing to drop on platforms without shared memory; report an
-        # explicitly skipped-but-ok scenario rather than a fake pass.
-        return ScenarioResult(
-            mode=mode, seed=seed, injected=True, recovered=True, bitwise=True,
-            structured_error="skipped: shared_memory unavailable",
-        )
 
     config = _campaign_config(mode, seed, quick)
     reference = run_campaign(SynthSource(), config, n_workers=1)
@@ -248,24 +230,20 @@ def run_chaos_scenario(
             # Anything with campaign context counts as structured; a
             # bare pool/OS exception is a contract violation.
             from ..leakage.acquisition import CampaignBatchError
-            from ..leakage.transport import TransportError
 
-            if isinstance(exc, (CampaignBatchError, TransportError, ValueError)):
+            if isinstance(exc, (CampaignBatchError, ValueError)):
                 structured = type(exc).__name__
             else:
                 structured = None
                 raise
         finally:
             injected = policy.injected
-            set_chaos_hook(None)
-        orphans = scavenge_orphans()
 
     seconds = time.perf_counter() - t0
     if result is None:
         outcome = ScenarioResult(
             mode=mode, seed=seed, injected=injected, recovered=False,
-            bitwise=False, structured_error=structured,
-            orphaned_segments=orphans, seconds=seconds,
+            bitwise=False, structured_error=structured, seconds=seconds,
         )
     else:
         bitwise = bool(
@@ -279,7 +257,6 @@ def run_chaos_scenario(
             injected=injected,
             recovered=True,
             bitwise=bitwise,
-            orphaned_segments=orphans,
             stats=result.stats.robustness_events(),
             seconds=seconds,
         )

@@ -17,9 +17,9 @@ under test:
    The flag doubles as the harness's proof that the failure really
    fired.
 
-:class:`ChaosPolicy` is picklable (plain fields only) so its bound
-methods can travel into pool workers as the supervisor's
-``worker_setup`` hook.
+:class:`ChaosPolicy` is picklable (plain fields only): it travels into
+pool workers inside the :class:`~repro.chaos.harness.ChaosSource` that
+calls it.
 """
 
 from __future__ import annotations
@@ -28,14 +28,11 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Optional
-
-from ..leakage import transport
 
 __all__ = ["FAILURE_MODES", "WORKER_MODES", "CHECKPOINT_MODES", "ChaosPolicy"]
 
 #: Worker-seam injections: fire inside a pool worker's batch.
-WORKER_MODES = ("kill_worker", "hang_worker", "raise_in_batch", "drop_shm")
+WORKER_MODES = ("kill_worker", "hang_worker", "raise_in_batch")
 
 #: Checkpoint-seam injections: fire on the checkpoint file after a save.
 CHECKPOINT_MODES = ("corrupt_checkpoint", "truncate_checkpoint")
@@ -101,12 +98,7 @@ class ChaosPolicy:
         """Whether the scheduled failure actually fired."""
         return os.path.exists(self.flag_path)
 
-    # -- supervisor seams ----------------------------------------------
-    def worker_setup(self) -> None:
-        """Install worker-side hooks (supervisor pool initializer)."""
-        if self.mode == "drop_shm":
-            transport.set_chaos_hook(self._drop_segment)
-
+    # -- supervisor seam -----------------------------------------------
     def post_checkpoint(self, path: str, next_batch: int) -> None:
         """Checkpoint seam: damage the file the save just produced."""
         if self.mode not in CHECKPOINT_MODES:
@@ -136,7 +128,7 @@ class ChaosPolicy:
         by the hard-crash resume tests, which SIGKILL a whole campaign
         subprocess).
         """
-        if self.mode not in WORKER_MODES or self.mode == "drop_shm":
+        if self.mode not in WORKER_MODES:
             return
         import multiprocessing
 
@@ -157,16 +149,3 @@ class ChaosPolicy:
                 "chaos: injected deterministic batch failure "
                 f"(seed {self.seed}, call {call})"
             )
-
-    def _drop_segment(self, name: str) -> None:
-        """``drop_shm``: unlink a just-created segment exactly once."""
-        if not _take_flag(self.flag_path):
-            return
-        from multiprocessing import shared_memory
-
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:  # pragma: no cover - already gone
-            return
-        shm.close()
-        shm.unlink()

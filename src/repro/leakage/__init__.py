@@ -20,15 +20,7 @@ from .acquisition import (
     suggest_batch_size,
 )
 from .stats import BatchRecord, CampaignStats
-from .transport import (
-    SHM_THRESHOLD_BYTES,
-    TRANSPORTS,
-    ShardPayload,
-    pack_shard,
-    resolve_transport,
-    shared_memory_available,
-    unpack_shard,
-)
+from .transport import pack_shard, unpack_shard
 from .supervisor import (
     CampaignInterrupted,
     SupervisorCheckpoint,
@@ -59,12 +51,7 @@ __all__ = [
     "suggest_batch_size",
     "BatchRecord",
     "CampaignStats",
-    "SHM_THRESHOLD_BYTES",
-    "TRANSPORTS",
-    "ShardPayload",
     "pack_shard",
-    "resolve_transport",
-    "shared_memory_available",
     "unpack_shard",
     "quarantine_checkpoint",
     "validate_runner_args",

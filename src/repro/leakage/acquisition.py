@@ -35,10 +35,10 @@ replaced by in-process serial execution instead of hanging.
 For parallelism to actually pay, three things have to hold, and the
 loop enforces all three:
 
-1. **Cheap shard transport.**  Workers return one contiguous moment
-   buffer per batch (``transport="pickle"``) or just a shared-memory
-   segment name (``transport="shared_memory"``); ``"auto"`` picks by
-   payload size.  Raw power matrices never cross the pipe.
+1. **Cheap shard transport.**  Workers return their batch
+   accumulator's exact :meth:`TTestAccumulator.state` snapshot (the
+   checkpoint's format): raw moment sums, whose size does not grow with
+   the batch.  Raw power matrices never cross the pipe.
 2. **Warm schedule caches.**  Sources exposing ``warmup()`` are warmed
    *in the parent before forking*, so every worker inherits the
    compiled event schedules instead of recompiling them; under
@@ -71,7 +71,7 @@ import time
 import traceback
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -80,13 +80,7 @@ from ..obs.trace import adopt_trace_context, get_tracer, ingest_spans, trace
 from ..sim.bitpack import LANE_BITS, resolve_pack_traces
 from ..sim.compiled import pin_schedule_cache
 from .stats import BatchRecord, CampaignStats
-from .transport import (
-    ShardPayload,
-    mark_shard_sent,
-    pack_shard,
-    resolve_transport,
-    set_segment_prefix,
-)
+from .transport import pack_shard
 from .tvla import TTestAccumulator, TvlaResult
 
 __all__ = [
@@ -192,9 +186,6 @@ class CampaignConfig:
             overrides it per call.  1 = in-process serial; ``"auto"``
             resolves against ``os.cpu_count()`` (see
             :func:`resolve_n_workers`).
-        transport: Shard transport for parallel runs — ``"auto"``
-            (default), ``"pickle"`` or ``"shared_memory"``; see
-            :mod:`repro.leakage.transport`.
         start_method: Process start method for the worker pool.
             ``None`` prefers ``fork`` (workers inherit the warmed
             schedule cache) with the platform default as fallback;
@@ -205,8 +196,8 @@ class CampaignConfig:
             ``False`` = boolean arrays, ``True`` = 64-traces-per-uint64
             bit-packed lanes, ``"auto"`` (default) = packed for batches
             of 64+ traces (see :mod:`repro.sim.bitpack`).  Either
-            engine produces bitwise-identical t-statistics; the shard
-            transport carries float64 moments and is unaffected.  A
+            engine produces bitwise-identical t-statistics; worker
+            shards carry float64 moments and are unaffected.  A
             ragged final batch (``batch % 64 != 0``) is handled by
             padding the last lane with copies of the final trace —
             exact, but the pad bits are wasted work, so
@@ -220,7 +211,6 @@ class CampaignConfig:
     seed: int = 0
     label: str = ""
     n_workers: "int | str" = 1
-    transport: str = "auto"
     start_method: Optional[str] = None
     pack_traces: "bool | str" = "auto"
 
@@ -248,7 +238,6 @@ class CampaignConfig:
                 f"n_workers must be an int >= 1 or 'auto', got {self.n_workers}"
             )
         # Fail on typos now, not inside a worker an hour into the run.
-        resolve_transport(self.transport, 1)
         resolve_pack_traces(self.pack_traces, self.batch_size)
         if self.start_method is not None:
             if self.start_method not in multiprocessing.get_all_start_methods():
@@ -443,7 +432,7 @@ def _warm_source(source: TraceSource) -> float:
 
 # Worker-process state, installed once per worker by the pool
 # initializer so the source/config are not re-pickled per task.
-_WORKER_STATE: Optional[Tuple[TraceSource, CampaignConfig, str]] = None
+_WORKER_STATE: Optional[Tuple[TraceSource, CampaignConfig]] = None
 
 #: Heartbeat slot layout, in doubles per slot: last beat
 #: (``time.monotonic``, comparable across processes on the platforms
@@ -457,8 +446,6 @@ _MY_SLOT = -1
 def _init_worker(
     source: TraceSource,
     config: CampaignConfig,
-    transport: str,
-    shm_prefix: Optional[str],
     obs_ctx: Optional[dict],
     hb,
     slot_counter,
@@ -480,9 +467,8 @@ def _init_worker(
     # this also discards the inherited copy of the parent's span
     # buffer, which the parent already owns.
     adopt_trace_context(obs_ctx)
-    set_segment_prefix(shm_prefix)
     _warm_source(source)
-    _WORKER_STATE = (source, config, transport)
+    _WORKER_STATE = (source, config)
     with slot_counter.get_lock():
         _MY_SLOT = slot_counter.value % (len(hb) // _HB_FIELDS)
         slot_counter.value += 1
@@ -517,10 +503,10 @@ class _WorkerFailure:
 
 def _worker_batch(
     item: Tuple[int, int]
-) -> "Tuple[ShardPayload, BatchRecord] | _WorkerFailure":
+) -> "Tuple[Dict[str, np.ndarray], BatchRecord] | _WorkerFailure":
     """One batch in a pool worker, with heartbeat stamps around it."""
     index, n = item
-    source, config, transport = _WORKER_STATE  # type: ignore[misc]
+    source, config = _WORKER_STATE  # type: ignore[misc]
     _beat(index, busy=True)
     try:
         tracer = get_tracer()
@@ -528,7 +514,7 @@ def _worker_batch(
         before = obs_metrics.snapshot()
         try:
             acc, record = _timed_batch(source, config, index, n)
-            payload = pack_shard(acc, transport)
+            payload = pack_shard(acc)
         except Exception as exc:
             return _WorkerFailure(
                 index, f"{type(exc).__name__}: {exc}", traceback.format_exc()
@@ -540,10 +526,7 @@ def _worker_batch(
         record.metrics = obs_metrics.snapshot().diff(before).as_dict()
         if tracer is not None:
             record.spans = tracer.spans(since=span_mark)
-        # Ownership of a shared-memory segment moves to the parent with
-        # this return; drop it from our registry so the worker's exit
-        # finalizer can't unlink a segment the parent is about to read.
-        return mark_shard_sent(payload), record
+        return payload, record
     finally:
         _beat(index, busy=False)
 
@@ -611,7 +594,7 @@ def run_campaign(
             ``"auto"`` matches the host's CPU count.  Any value yields
             the identical t-statistics; the attached
             :class:`CampaignStats` (``result.stats``) records the
-            topology, throughput and transport actually used.
+            topology and throughput actually used.
     """
     from .supervisor import _campaign_loop, _drain
 
@@ -639,18 +622,13 @@ def detect_leakage_traces(
     With parallel workers batches are simulated ahead in parallel but
     *checked* strictly in batch order, so the detection point is the
     same as the serial run's; workers simulating batches beyond the
-    detection point are cancelled when the batch loop is closed.  (The
-    ``auto`` transport resolves to ``pickle`` here: cancellation can
-    drop in-flight results, which must not strand shared-memory
-    segments.)
+    detection point are cancelled when the batch loop is closed.
 
     Returns:
         ``(n_traces_at_detection or None, final TvlaResult)``.
     """
     from .supervisor import _campaign_loop
 
-    if config.transport == "auto":
-        config = replace(config, transport="pickle")
     stats = _begin_stats(config)
     hits = 0
     detected: Optional[int] = None

@@ -62,7 +62,6 @@ class CampaignStats:
     cpu_count: int = 1
     oversubscribed: bool = False
     start_method: str = "serial"  #: "serial" | "fork" | "spawn" | ...
-    transport: str = "none"
     wall_seconds: float = 0.0
     warmup_seconds: float = 0.0
     quarantined_batches: List[int] = field(default_factory=list)
@@ -97,8 +96,6 @@ class CampaignStats:
     checkpoint_restores = _counted("supervisor.checkpoint_restores")
     #: Corrupt checkpoint files set aside.
     checkpoints_quarantined = _counted("supervisor.checkpoints_quarantined")
-    #: Orphaned shm segments reclaimed.
-    scavenged_segments = _counted("transport.scavenged_segments")
 
     # ------------------------------------------------------------------
     @property
@@ -137,7 +134,6 @@ class CampaignStats:
             "cpu_count": self.cpu_count,
             "oversubscribed": self.oversubscribed,
             "start_method": self.start_method,
-            "transport": self.transport,
             "wall_seconds": self.wall_seconds,
             "warmup_seconds": self.warmup_seconds,
             "traces_per_second": self.traces_per_second,
@@ -152,13 +148,12 @@ class CampaignStats:
             "checkpoints_quarantined": self.checkpoints_quarantined,
             "quarantined_batches": list(self.quarantined_batches),
             "skipped_traces": self.skipped_traces,
-            "scavenged_segments": self.scavenged_segments,
             "batch_seconds": self.batch_seconds(),
             "phases": {k: dict(v) for k, v in self.phases.items()},
         }
 
     def robustness_events(self) -> Dict[str, int]:
-        """Non-zero recovery/cleanup counters of this campaign run.
+        """Non-zero recovery counters of this campaign run.
 
         Empty for an undisturbed campaign — the condition the summary
         uses to keep its two-line reading two lines.
@@ -171,7 +166,6 @@ class CampaignStats:
             "checkpoints_quarantined": self.checkpoints_quarantined,
             "quarantined_batches": len(self.quarantined_batches),
             "skipped_traces": self.skipped_traces,
-            "scavenged_segments": self.scavenged_segments,
         }
         return {k: v for k, v in events.items() if v}
 
@@ -186,7 +180,7 @@ class CampaignStats:
             f"[{self.start_method}]{over}",
             f"  batches: {self.n_batches} x ~{self.batch_size}  "
             f"t/batch {bs['min']:.3f}/{bs['median']:.3f}/{bs['max']:.3f}s  "
-            f"transport={self.transport} ({self.pipe_bytes:,} B)  "
+            f"pipe {self.pipe_bytes:,} B  "
             f"schedules: {self.schedule_replays} replayed, "
             f"{self.schedule_compiles} compiled",
         ]

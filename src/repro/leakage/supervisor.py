@@ -5,8 +5,7 @@ Every campaign runner drives the one batch loop here;
 production-scale TVLA campaign (the paper's Figs. 14-17 at 2M traces
 span hours across many workers) dies in hard ways: a ``kill -9``
 mid-checkpoint, a worker that hangs or dies, a corrupted checkpoint
-file greeting the restart, a shared-memory segment stranded by an
-abnormal exit.  The loop is hardened against each:
+file greeting the restart.  The loop is hardened against each:
 
 * **Checksummed, schema-versioned checkpoints** — every checkpoint
   carries a CRC over its payload arrays; a truncated or bit-flipped
@@ -37,9 +36,6 @@ abnormal exit.  The loop is hardened against each:
   continues instead of aborting.  Quarantined indices persist in the
   checkpoint, so a resumed run does not silently retry a known-poison
   batch.
-* **Orphan scavenging** — every pool teardown calls
-  :func:`repro.leakage.transport.scavenge_orphans`, so abnormal exits
-  never leak ``shared_memory`` segments.
 
 When nothing goes wrong — and when every injected failure is of a
 recoverable kind — the supervised campaign produces the bitwise
@@ -89,16 +85,7 @@ from .acquisition import (
     resolve_n_workers,
 )
 from .stats import CampaignStats
-from .transport import (
-    TransportError,
-    adopt_shard,
-    new_campaign_prefix,
-    resolve_transport,
-    scavenge_orphans,
-    segment_prefix,
-    set_segment_prefix,
-    unpack_shard,
-)
+from .transport import unpack_shard
 from .tvla import TTestAccumulator, TvlaResult
 
 __all__ = [
@@ -504,8 +491,8 @@ def _campaign_loop(
     fail-fast contract, and ``checkpoint_path=None`` turns
     checkpointing off.  The arguments are those of
     :func:`run_campaign_supervised`.  Closing the generator early
-    cancels the pool: the ``finally`` tears it down, scavenges orphaned
-    segments and flushes the progress of an interrupted run.
+    cancels the pool: the ``finally`` tears it down and flushes the
+    progress of an interrupted run.
     """
     validate_runner_args(
         checkpoint_interval_s, max_retries, worker_timeout_s, backoff_s
@@ -527,9 +514,6 @@ def _campaign_loop(
     plan = _batch_plan(config)
     requested = config.n_workers if n_workers is None else n_workers
     n_workers = resolve_n_workers(requested, len(plan))
-    transport = resolve_transport(config.transport, source.n_samples)
-    if segment_prefix() is None:
-        set_segment_prefix(new_campaign_prefix())
     stats.requested_workers = requested
     stats.n_workers = n_workers
     stats.oversubscribed = n_workers > stats.cpu_count
@@ -657,8 +641,6 @@ def _campaign_loop(
                 initargs=(
                     source,
                     config,
-                    transport,
-                    segment_prefix(),
                     obs_ctx,
                     hb,
                     ctx.Value("i", 0),
@@ -666,7 +648,6 @@ def _campaign_loop(
                 ),
             )
         pool_gen += 1
-        stats.transport = transport
         stats.start_method = ctx.get_start_method()
         submitted = i
 
@@ -674,24 +655,8 @@ def _campaign_loop(
         nonlocal pool, hb, pending, submitted
         if pool is not None:
             with trace("campaign.pool_teardown"):
-                # Release the segments of speculative batches that
-                # completed but will be resubmitted: their payloads are
-                # discarded, and a stranded segment would outlive the run.
-                for result in pending.values():
-                    try:
-                        if result.ready():
-                            out = result.get(0)
-                            if not isinstance(out, _WorkerFailure):
-                                unpack_shard(adopt_shard(out[0]))
-                    except Exception:
-                        pass
                 pool.terminate()
                 pool.join()
-            # With the pool dead, anything under the campaign prefix is
-            # a true orphan: in-flight shards of a cancelled run, or
-            # leftovers of killed workers.
-            with trace("campaign.scavenge"):
-                scavenge_orphans()
         pool = None
         hb = None
         pending = {}
@@ -702,9 +667,8 @@ def _campaign_loop(
 
         ``exc`` is a :class:`_HungPool` (deadline, dead worker, stale
         heartbeat), a :class:`CampaignBatchError` (the source raised:
-        deterministic), a :class:`TransportError` (the shard vanished
-        on its way to the parent) or anything else a broken pool
-        raises.  Returns True when the batch was quarantined.
+        deterministic) or anything else a broken pool raises.  Returns
+        True when the batch was quarantined.
         """
         nonlocal attempts, n_workers
         origin = "serial" if pool is None else f"pool-{pool_gen}"
@@ -729,17 +693,13 @@ def _campaign_loop(
             time.sleep(backoff_s * (2 ** (attempts - 1)))
         elif deterministic:
             raise exc
-        elif isinstance(exc, TransportError):
-            raise CampaignBatchError(
-                index, config.label, f"transport: {exc}"
-            ) from exc
         else:
             n_workers = 1  # permanent serial degradation
             attempts = 0
         return False
 
     # The run span opens here and closes in the ``finally`` below, so
-    # pool teardown and the scavenge stay inside it — manual
+    # pool teardown stays inside it — manual
     # enter/exit keeps the recovery control flow un-indented.
     run_span = trace(
         "campaign.run", label=config.label, n_traces=config.n_traces
@@ -776,7 +736,6 @@ def _campaign_loop(
             try:
                 if n_workers <= 1:
                     stats.start_method = "serial"
-                    stats.transport = "none"
                     try:
                         shard, record = _timed_batch(source, config, index, n)
                     except Exception as exc:
@@ -803,7 +762,7 @@ def _campaign_loop(
                             out.index, config.label, out.message, out.traceback
                         )
                     payload, record = out
-                    shard = unpack_shard(adopt_shard(payload))
+                    shard = unpack_shard(payload)
             except Exception as exc:
                 if on_failure(index, exc):
                     i += 1

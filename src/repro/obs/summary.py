@@ -39,7 +39,6 @@ PHASE_NAMES = {
     "campaign.merge": "merge",
     "campaign.checkpoint": "checkpoint",
     "campaign.pool_teardown": "teardown",
-    "campaign.scavenge": "scavenge",
 }
 
 

@@ -6,8 +6,8 @@ the result pipe, per-worker schedule recompiles):
 
 * :class:`repro.leakage.stats.CampaignStats` attached to every
   :class:`TvlaResult` and its derived readings;
-* the shard transports (``pickle`` / ``shared_memory`` / ``auto``)
-  staying bitwise-lossless;
+* the worker shard (the accumulator's checkpoint snapshot) staying
+  bitwise-lossless, at every payload size;
 * ``n_workers`` / ``batch_size`` resolution against the host
   (``auto``, clamping, :class:`OversubscriptionWarning`).
 """
@@ -27,14 +27,7 @@ from repro.leakage.acquisition import (
     suggest_batch_size,
 )
 from repro.leakage.stats import BatchRecord, CampaignStats
-from repro.leakage.transport import (
-    SHM_THRESHOLD_BYTES,
-    ShardPayload,
-    pack_shard,
-    resolve_transport,
-    shared_memory_available,
-    unpack_shard,
-)
+from repro.leakage.transport import pack_shard, unpack_shard
 from repro.leakage.tvla import TTestAccumulator
 
 
@@ -72,7 +65,6 @@ def test_serial_campaign_attaches_stats():
     assert s.label == "s"
     assert s.n_workers == 1
     assert s.start_method == "serial"
-    assert s.transport == "none"
     assert s.n_batches == 4
     assert [b.n_traces for b in s.batches] == [1000, 1000, 1000, 500]
     assert s.wall_seconds > 0
@@ -83,7 +75,6 @@ def test_serial_campaign_attaches_stats():
 def test_parallel_campaign_stats_record_topology_and_traffic():
     cfg = CampaignConfig(
         n_traces=4000, batch_size=1000, noise_sigma=0.0, seed=1,
-        transport="pickle",
     )
     with _maybe_oversub(2):
         res = run_campaign(SyntheticSource(leak=0.5), cfg, n_workers=2)
@@ -92,14 +83,13 @@ def test_parallel_campaign_stats_record_topology_and_traffic():
     assert s.n_workers == 2
     assert s.cpu_count == (os.cpu_count() or 1)
     assert s.oversubscribed == (2 > s.cpu_count)
-    assert s.transport == "pickle"
     assert s.start_method in ("fork", "spawn", "forkserver")
     # 4 batches x (2, 6, 8) float64 moments + pickle overhead
     assert s.pipe_bytes >= 4 * 2 * 6 * 8 * 8
     assert s.n_batches == 4
 
 
-def test_detect_leakage_attaches_stats_and_forces_pickle():
+def test_detect_leakage_attaches_stats():
     cfg = CampaignConfig(
         n_traces=4000, batch_size=1000, noise_sigma=0.0, seed=3
     )
@@ -108,15 +98,12 @@ def test_detect_leakage_attaches_stats_and_forces_pickle():
             SyntheticSource(leak=1.0), cfg, n_workers=2
         )
     assert res.stats is not None
-    # auto transport must resolve to pickle here: early cancellation
-    # could strand shared-memory segments of in-flight batches
-    assert res.stats.transport == "pickle"
 
 
 def test_stats_as_dict_and_summary():
     s = CampaignStats(
         label="x", n_traces=100, batch_size=50, requested_workers=2,
-        n_workers=2, cpu_count=4, start_method="fork", transport="pickle",
+        n_workers=2, cpu_count=4, start_method="fork",
         wall_seconds=2.0,
         batches=[BatchRecord(0, 50, 0.5), BatchRecord(1, 50, 1.0)],
         counters={
@@ -139,11 +126,11 @@ def test_stats_as_dict_and_summary():
 
     json.dumps(d)  # must be JSON-serialisable as-is
     text = s.summary()
-    assert "traces/s" in text and "transport=pickle" in text
+    assert "traces/s" in text and "pipe 200 B" in text
 
 
 # ----------------------------------------------------------------------
-# transports
+# worker shards
 # ----------------------------------------------------------------------
 def _filled_accumulator(n_samples=32, seed=5):
     r = np.random.default_rng(seed)
@@ -155,61 +142,40 @@ def _filled_accumulator(n_samples=32, seed=5):
     return acc
 
 
-@pytest.mark.parametrize("transport", ["pickle", "shared_memory"])
-def test_pack_unpack_roundtrip_is_bitwise(transport):
-    if transport == "shared_memory" and not shared_memory_available():
-        pytest.skip("shared_memory unavailable")
+def test_pack_unpack_roundtrip_is_bitwise():
+    """The worker shard and the checkpoint snapshot are one format."""
     acc = _filled_accumulator()
-    payload = pack_shard(acc, transport)
-    assert payload.pipe_bytes > 0
-    if transport == "shared_memory":
-        assert payload.moments is None and payload.shm_name
-        # only the segment name crosses the pipe
-        assert payload.pipe_bytes < 1024
-    back = unpack_shard(payload)
-    assert back._fixed.n == acc._fixed.n
-    assert back._random.n == acc._random.n
-    assert np.array_equal(back._fixed.sums, acc._fixed.sums)
-    assert np.array_equal(back._random.sums, acc._random.sums)
+    back = unpack_shard(pack_shard(acc))
+    restored = TTestAccumulator.from_state(acc.state())
+    for other in (back, restored):
+        assert other._fixed.n == acc._fixed.n
+        assert other._random.n == acc._random.n
+        assert np.array_equal(other._fixed.sums, acc._fixed.sums)
+        assert np.array_equal(other._random.sums, acc._random.sums)
     for order in (1, 2, 3):
-        assert np.array_equal(back.t_stats(order), acc.t_stats(order))
+        t = back.t_stats(order)
+        assert np.array_equal(t, restored.t_stats(order))
+        assert np.array_equal(t, acc.t_stats(order))
 
 
-def test_shared_memory_campaign_bitwise_equals_serial():
-    if not shared_memory_available():
-        pytest.skip("shared_memory unavailable")
+def test_wide_trace_campaign_bitwise_equals_serial():
+    """11 000 samples per trace: a shard above 1 MiB still crosses the
+    pool's result pipe whole and merges bitwise."""
+    n_samples = 11_000
     cfg = CampaignConfig(
-        n_traces=2000, batch_size=500, noise_sigma=1.0, seed=13,
-        transport="shared_memory",
+        n_traces=160, batch_size=48, noise_sigma=1.0, seed=17
     )
-    serial = run_campaign(SyntheticSource(leak=0.4), cfg, n_workers=1)
+    source = SyntheticSource(leak=0.4, n_samples=n_samples)
+    serial = run_campaign(source, cfg, n_workers=1)
     with _maybe_oversub(2):
-        parallel = run_campaign(SyntheticSource(leak=0.4), cfg, n_workers=2)
-    assert parallel.stats.transport == "shared_memory"
-    # 4 batches: only segment names crossed the pipe
-    assert parallel.stats.pipe_bytes < 4 * 1024
+        parallel = run_campaign(source, cfg, n_workers=2)
+    n_batches = parallel.stats.n_batches
+    assert n_batches == 4
+    assert parallel.stats.n_workers == 2
+    assert parallel.stats.pipe_bytes >= n_batches * 2 * 6 * n_samples * 8
     assert np.array_equal(serial.t1, parallel.t1)
     assert np.array_equal(serial.t2, parallel.t2)
     assert np.array_equal(serial.t3, parallel.t3)
-
-
-def test_resolve_transport_auto_switches_on_payload_size():
-    small = SHM_THRESHOLD_BYTES // (2 * 6 * 8) // 2
-    assert resolve_transport("auto", small) == "pickle"
-    if shared_memory_available():
-        big = SHM_THRESHOLD_BYTES // (2 * 6 * 8) + 1
-        assert resolve_transport("auto", big) == "shared_memory"
-    assert resolve_transport("pickle", 10**9) == "pickle"
-
-
-def test_resolve_transport_rejects_unknown():
-    with pytest.raises(ValueError, match="transport"):
-        resolve_transport("carrier-pigeon", 100)
-
-
-def test_config_rejects_unknown_transport_eagerly():
-    with pytest.raises(ValueError, match="transport"):
-        CampaignConfig(transport="typo")
 
 
 # ----------------------------------------------------------------------

@@ -116,11 +116,11 @@ def test_cross_process_span_propagation(start_method):
 STATS_KEYS = {
     "label", "n_traces", "batch_size", "n_batches", "requested_workers",
     "n_workers", "cpu_count", "oversubscribed", "start_method",
-    "transport", "wall_seconds", "warmup_seconds", "traces_per_second",
+    "wall_seconds", "warmup_seconds", "traces_per_second",
     "pipe_bytes", "schedule_compiles", "schedule_replays",
     "clamped_events", "pool_rebuilds", "restarts", "watchdog_kills",
     "checkpoint_restores", "checkpoints_quarantined",
-    "quarantined_batches", "skipped_traces", "scavenged_segments",
+    "quarantined_batches", "skipped_traces",
     "batch_seconds", "phases",
 }
 

@@ -30,7 +30,6 @@ from repro.leakage.supervisor import (
     save_checkpoint_supervised,
     validate_runner_args,
 )
-from repro.leakage.transport import new_campaign_prefix, scavenge_orphans
 from repro.leakage.tvla import TTestAccumulator
 from repro.obs import metrics as obs_metrics
 
@@ -204,7 +203,6 @@ def test_supervised_serial_matches_run_campaign(tmp_path):
     # every sidecar file is cleaned up after success
     for suffix in ("", ".prev", ".tmp", ".interrupted"):
         assert not os.path.exists(path + suffix)
-    assert scavenge_orphans() == []
 
 
 def test_supervised_parallel_matches_serial(tmp_path):
@@ -214,7 +212,6 @@ def test_supervised_parallel_matches_serial(tmp_path):
         handle_signals=False,
     )
     assert_same_result(res, run_campaign(Synth(), cfg))
-    assert scavenge_orphans() == []
 
 
 class SignalProbe:
@@ -257,7 +254,6 @@ def test_forked_workers_do_not_inherit_signal_handlers(tmp_path):
     # the parent's own handlers are restored after the run
     after = signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT)
     assert after == before
-    assert scavenge_orphans() == []
 
 
 def test_stop_after_batches_interrupts_resumably(tmp_path):
@@ -333,7 +329,6 @@ def test_poison_batch_quarantined_with_explicit_trace_accounting(tmp_path):
     assert res.stats.skipped_traces == cfg.batch_size
     assert res.n_traces == cfg.n_traces - cfg.batch_size
     assert res.stats.robustness_events()["quarantined_batches"] == 1
-    assert scavenge_orphans() == []
 
 
 def test_quarantine_disabled_reproduces_abort(tmp_path):
@@ -345,21 +340,6 @@ def test_quarantine_disabled_reproduces_abort(tmp_path):
             handle_signals=False, quarantine_batches=False,
         )
     assert ei.value.batch_index == 4
-
-
-def test_scavenger_unlinks_an_empty_half_created_segment():
-    """A worker killed between ``shm_open`` and ``ftruncate`` leaves an
-    empty segment under the campaign prefix; the scan must unlink it
-    rather than fail to map it (which broke every later scavenge)."""
-    _posixshmem = pytest.importorskip("_posixshmem")
-    prefix = new_campaign_prefix()
-    name = f"{prefix}-{os.getpid()}-1"
-    fd = _posixshmem.shm_open(
-        "/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600
-    )
-    os.close(fd)
-    assert scavenge_orphans(prefix) == [name]
-    assert scavenge_orphans(prefix) == []
 
 
 # ----------------------------------------------------------------------
