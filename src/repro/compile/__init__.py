@@ -235,14 +235,18 @@ def compile_spec(
 
     if n_luts is None:
         with trace("compile.schedule", margin_ps=margin_ps):
-            solved, _ = solve_pd_n_luts(
+            solved, emitted = solve_pd_n_luts(
                 plan, choice, margin_ps, secand2_style=secand2_style
             )
-            schedule = pd_schedule(plan, solved, margin_ps)
-        with trace("compile.emit", style="pd"):
-            netlist = emit_pd(
-                plan, choice, schedule, secand2_style=secand2_style
-            )
+        netlist = emitted.get(solved)
+        if netlist is None:
+            with trace("compile.emit", style="pd"):
+                netlist = emit_pd(
+                    plan,
+                    choice,
+                    pd_schedule(plan, solved, margin_ps),
+                    secand2_style=secand2_style,
+                )
         return CompileResult(
             netlist=netlist,
             margin_ps=margin_ps,

@@ -24,7 +24,9 @@ engines, strongest evidence first.
    this strictly stronger check (see the ``pchain3_pd`` preset: chained
    gadgets exhibit a from-reset transient bias that is invisible to
    first-order TVLA on power but visible to per-wire exact probes), so
-   it is only expected to pass for single-gadget netlists.
+   it is only expected to pass for single-gadget netlists.  A site
+   verdict depends on its arrival tuple alone, so each tuple (and the
+   FF style's one preset) is proved once per process and reused.
 4. **Uniformity audit** — the refresh choice's empirical share-
    distribution defect stays within a factor of the full-refresh floor.
 5. **TVLA spot-check** (optional) — a sampled fixed-vs-random campaign
@@ -37,8 +39,10 @@ randomness / latency / fmax) built from :mod:`repro.netlist.area` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +52,7 @@ from ..netlist import timing as timing_mod
 from ..netlist.circuit import Circuit
 from ..netlist.safety import check_secand2_ordering, ordering_margins
 from ..netlist.timing import arrival_times
+from ..obs import metrics as obs_metrics
 from ..obs.trace import trace
 from ..verify.probes import MAX_INPUT_BITS, GadgetSpec
 from ..verify.report import LeakingProbe, VerificationResult, verify
@@ -211,6 +216,37 @@ def site_classes(netlist: CompiledNetlist) -> List[SiteClass]:
         SiteClass(arrivals=key, tags=tuple(tags))
         for key, tags in sorted(groups.items())
     ]
+
+
+#: Exact proofs already run in this process: the verdict of
+#: ``site_spec_for_arrivals(arrivals)`` keyed by its arrival tuple, and
+#: the ``secand2_ff`` preset's under that name.  Neither spec has any
+#: other input, so a proof holds for every later netlist.  Bounded,
+#: oldest proof out first.
+_PROOFS: "OrderedDict[Hashable, VerificationResult]" = OrderedDict()
+_PROOFS_CAPACITY = 256
+
+
+def _proof(
+    key: Hashable, name: str, build_spec: Callable[[], GadgetSpec]
+) -> VerificationResult:
+    """``verify(build_spec())``, run once per ``key`` and process.
+
+    A reused proof is a copy named ``name`` with its own ``leaks`` list
+    and ``elapsed_s = 0.0``.
+    """
+    proved = _PROOFS.get(key)
+    if proved is not None:
+        obs_metrics.inc("certify.proof_hits")
+        return replace(
+            proved, gadget=name, leaks=list(proved.leaks), elapsed_s=0.0
+        )
+    obs_metrics.inc("certify.proofs")
+    result = verify(build_spec())
+    _PROOFS[key] = replace(result, leaks=list(result.leaks))
+    if len(_PROOFS) > _PROOFS_CAPACITY:
+        _PROOFS.popitem(last=False)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +613,9 @@ def certify_netlist(
             # the configuration the canonical preset verifies.
             from ..verify.presets import preset_spec
 
-            result = verify(preset_spec("secand2_ff"))
+            result = _proof(
+                "secand2_ff", "secand2_ff", partial(preset_spec, "secand2_ff")
+            )
             cert.gadget_ff = {
                 "secure": result.secure,
                 "n_probes": result.n_probes,
@@ -586,14 +624,12 @@ def certify_netlist(
         elif exact == "sites":
             cert.sites = site_classes(netlist)
             for site in cert.sites:
-                spec = site_spec_for_arrivals(
-                    site.arrivals,
-                    name=f"{cert.name}_{cert.style}_site_{site.tags[0]}",
-                )
-                site.result = verify(spec)
+                name = f"{cert.name}_{cert.style}_site_{site.tags[0]}"
+                build = partial(site_spec_for_arrivals, site.arrivals, name=name)
+                site.result = _proof(site.arrivals, name, build)
                 if not site.result.secure and cert.counterexample is None:
                     cert.counterexample = site.result.leaks[0]
-                    cert.counterexample_spec = spec
+                    cert.counterexample_spec = build()
         elif exact == "whole":
             spec = netlist.gadget_spec()
             if spec.n_input_bits > MAX_INPUT_BITS:

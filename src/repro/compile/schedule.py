@@ -28,10 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..netlist.safety import OrderingViolation, ordering_margins
+from ..obs.trace import trace
 from .lower import CompileError, LoweredPlan
+
+if TYPE_CHECKING:
+    from .emit import CompiledNetlist
 
 __all__ = [
     "ScheduleError",
@@ -203,23 +207,28 @@ def solve_pd_n_luts(
     margin_ps: int,
     secand2_style: str = "lut",
     max_n_luts: int = MAX_N_LUTS,
-) -> Tuple[int, Tuple]:
+) -> Tuple[int, Dict[int, "CompiledNetlist"]]:
     """Smallest DelayUnit size meeting the requested ordering margin.
 
-    Emits the netlist at two trial sizes, fits every site's ``y1``
-    margin and ``y0`` slack as affine functions of ``n_luts``, and
-    returns the smallest integer size making all of them non-negative
-    with ``y1`` margins at least ``max(1, margin_ps)``.  Also returns
-    the probe data so callers can report per-site slack.
+    Emits the netlist in ``secand2_style`` at two trial sizes, fits
+    every site's ``y1`` margin and ``y0`` slack as affine functions of
+    ``n_luts``, and returns the smallest integer size making all of
+    them non-negative with ``y1`` margins at least ``max(1, margin_ps)``.
+    Also returns the trial netlists keyed by size, so a caller whose
+    solved size is a trial size need not emit it again.
     """
     from .emit import emit_pd
 
-    def margins_at(n: int):
-        netlist = emit_pd(plan, refresh_choice, pd_schedule(plan, n, margin_ps))
-        return ordering_margins(netlist.circuit)
-
-    m1 = margins_at(1)
-    m2 = margins_at(2)
+    emitted = {}
+    for n in (1, 2):
+        with trace("compile.emit", style="pd", n_luts=n):
+            emitted[n] = emit_pd(
+                plan,
+                refresh_choice,
+                pd_schedule(plan, n, margin_ps),
+                secand2_style=secand2_style,
+            )
+    m1, m2 = (ordering_margins(emitted[n].circuit) for n in (1, 2))
     if len(m1) != len(m2):
         raise ScheduleError(
             "internal: PD emission is not structurally stable across "
@@ -251,4 +260,4 @@ def solve_pd_n_luts(
             f"{best} LUTs (> max {max_n_luts})",
             required_n_luts=best,
         )
-    return best, (m1, m2)
+    return best, emitted

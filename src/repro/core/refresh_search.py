@@ -21,21 +21,29 @@ numerics bit-for-bit.
 both defect functions (and the certifier's uniformity audit) run on: it
 evaluates a share-level model once over every unshared input, with the
 samples read from raw PCG64 words and bit-packed 64 to a ``uint64``
-word.
+word.  The packed samples come from a process-wide bank
+(:data:`SAMPLE_BANK`), so a search that repeats a ``(seed, shape)``
+already drawn in this process reuses the words instead of drawing them
+again.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs import metrics as obs_metrics
 from ..sim.bitpack import LANE_BITS, n_lanes, popcount
 
 __all__ = [
     "FINAL_SALT",
     "GreedySearchResult",
+    "SAMPLE_BANK",
+    "SampleBank",
     "greedy_minimize",
     "sampled_uniformity_defect",
 ]
@@ -137,6 +145,11 @@ def sampled_uniformity_defect(
     the last word masked out); the result is the maximum of
     ``|count / n_per_input - 2**-w|``.
 
+    The sample is read-only and may be shared with every other call of
+    the same ``(seed, n_inputs + n_rand, 2**n_inputs, n_per_input)``
+    (:data:`SAMPLE_BANK`): ``evaluate`` must not write into its
+    arguments.
+
     RNG contract: the sample for input ``v`` is drawn in the order the
     per-input loop it replaces drew it — ``v = 0, 1, ...``, the share-1
     bits ``(n_inputs, n_per_input)`` then the refresh bits
@@ -147,14 +160,12 @@ def sampled_uniformity_defect(
     rejects (its threshold ``(2**32 - 2) % 2`` is 0), so each value is
     the top bit of one 32-bit output; PCG64 hands out the low half of
     each 64-bit word before the high half.  The defects (and every
-    pinned refresh plan) are therefore bit-identical to that loop.
+    pinned refresh plan) are therefore bit-identical to that loop.  A
+    bank hit returns the words of the first draw, so it keeps them too.
     """
     n_values = 1 << n_inputs
-    n_rows = n_inputs + n_rand
     n_words = n_lanes(n_per_input)
-    packed = _draw_packed_samples(
-        np.random.default_rng(seed), n_rows, n_values, n_per_input
-    )
+    packed = SAMPLE_BANK.samples(seed, n_inputs + n_rand, n_values, n_per_input)
     shifts = np.arange(n_inputs - 1, -1, -1)[:, None]
     value_bits = (np.arange(n_values) >> shifts) & 1
     s1 = packed[:n_inputs]
@@ -178,6 +189,58 @@ def sampled_uniformity_defect(
         deviation = np.abs(counts / n_per_input - 1.0 / patterns.shape[0])
         worst = max(worst, float(np.max(deviation)))
     return worst
+
+
+class SampleBank:
+    """Packed samples of :func:`sampled_uniformity_defect`, drawn once
+    per process and key.
+
+    Keyed by ``(seed, n_rows, n_values, n_per_input)``, which fixes the
+    words completely, so a hit returns exactly what a fresh draw would.
+    Entries are read-only.  The bank holds at most ``max_bytes`` of
+    samples and drops the oldest entry first; an entry larger than the
+    bound is returned but not kept.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+
+    def samples(
+        self, seed: int, n_rows: int, n_values: int, n_per_input: int
+    ) -> np.ndarray:
+        key = (operator.index(seed), n_rows, n_values, n_per_input)
+        packed = self._entries.get(key)
+        if packed is not None:
+            obs_metrics.inc("refresh_search.bank_hits")
+            return packed
+        obs_metrics.inc("refresh_search.draws")
+        packed = _draw_packed_samples(
+            np.random.default_rng(key[0]), n_rows, n_values, n_per_input
+        )
+        packed.flags.writeable = False
+        self._entries[key] = packed
+        self.nbytes += packed.nbytes
+        while self.nbytes > self.max_bytes:
+            _, old = self._entries.popitem(last=False)
+            self.nbytes -= old.nbytes
+        return packed
+
+
+#: The process-wide bank.  4 MiB holds the 26 samples of the paper
+#: suite's refresh searches (a DES greedy search is 16 samples of
+#: 130 KiB, about 2.1 MiB, shared by all 8 S-boxes; PRESENT adds 10 of
+#: 20 KiB); below one DES search, eviction would drop every entry
+#: before the next S-box reads it.
+SAMPLE_BANK = SampleBank(max_bytes=4 << 20)
 
 
 #: Inputs drawn per block in :func:`_draw_packed_samples`.  Even, so

@@ -13,6 +13,9 @@ The pinned plans below are the refresh search's outputs from before the
 kernel existed; they must not move.  The kernel reads its sample bits
 from raw PCG64 words; the historical per-input ``integers(0, 2, ...)``
 draw is the oracle of that too, and the draw stays in bounded blocks.
+The samples come from a process-wide bank: a warm bank must give the
+cold bank's floats, its entries must be read-only, and it must stay
+within its byte bound.
 """
 
 import tracemalloc
@@ -25,7 +28,10 @@ from repro.compile.lower import lower
 from repro.compile.model import PlanModel
 from repro.compile.model import uniformity_defect as plan_defect
 from repro.compile.refresh import plan_refresh
+from repro.core import refresh_search
 from repro.core.refresh_search import (
+    SAMPLE_BANK,
+    SampleBank,
     _draw_packed_samples,
     sampled_uniformity_defect,
 )
@@ -214,6 +220,7 @@ def test_des_shaped_defect_peak_memory_stays_bounded():
     model = PlanModel(lower(des_sbox_spec(0)))
     mask = (True,) * model.n_rand
     plan_defect(model, mask, 800, 0)  # warm caches outside the window
+    SAMPLE_BANK.clear()  # but draw inside it: a banked sample costs nothing
     tracemalloc.start()
     try:
         plan_defect(model, mask, 800, 0)
@@ -248,3 +255,81 @@ def test_kernel_layout_and_padding_mask():
         lambda s0, s1, rand: [[s0[0] ^ s1[0]]], 1, 1, n, seed=4
     )
     assert constant == 0.5
+
+
+# ----------------------------------------------------------------------
+# the sample bank
+# ----------------------------------------------------------------------
+@pytest.fixture
+def draws(monkeypatch):
+    """Keys drawn from the generator (bank misses) during the test."""
+    drawn = []
+
+    def counting(rng, n_rows, n_values, n_per_input):
+        drawn.append((n_rows, n_values, n_per_input))
+        return _draw_packed_samples(rng, n_rows, n_values, n_per_input)
+
+    monkeypatch.setattr(refresh_search, "_draw_packed_samples", counting)
+    return drawn
+
+
+@pytest.mark.parametrize("name", [name for name, _ in PLAN_TARGETS])
+def test_warm_bank_gives_cold_bank_defects(plans, name, draws):
+    plan = plans[name]
+    model = PlanModel(plan)
+
+    def defects():
+        choice = plan_refresh(plan, mode="selective")
+        return [choice.mask, choice.search.defect, choice.search.floor] + [
+            plan_defect(model, mask, n, seed)
+            for mask in ((True,) * model.n_rand, choice.mask)
+            for seed in SEEDS
+            for n in SAMPLE_COUNTS
+        ]
+
+    SAMPLE_BANK.clear()
+    cold = defects()
+    n_cold = len(draws)
+    assert n_cold > 0
+    assert defects() == cold
+    assert len(draws) == n_cold  # the warm pass drew nothing
+
+
+def test_banked_sample_is_read_only():
+    def writes_s1(s0, s1, rand):
+        s1[0] ^= s1[0]
+        return []
+
+    SAMPLE_BANK.clear()
+    for _ in range(2):  # cold, then warm
+        with pytest.raises(ValueError, match="read-only"):
+            sampled_uniformity_defect(writes_s1, 3, 1, 100, seed=4)
+    # the failed writes left the banked words intact
+    want = legacy_packed_samples(4, 4, 8, 100)
+    assert np.array_equal(SAMPLE_BANK.samples(4, 4, 8, 100), want)
+
+
+def test_bank_eviction_keeps_within_bound(draws):
+    entry = n_lanes(100) * 8 * 4 * 8  # (4 rows, 8 values, 2 words) uint64
+    bank = SampleBank(max_bytes=3 * entry)
+    for seed in range(5):
+        bank.samples(seed, 4, 8, 100)
+        assert bank.nbytes <= bank.max_bytes
+    assert len(bank) == 3 and bank.nbytes == 3 * entry
+    # oldest out first: seeds 2-4 are kept, seed 0 draws again
+    del draws[:]
+    bank.samples(4, 4, 8, 100)
+    assert draws == []
+    bank.samples(0, 4, 8, 100)
+    assert len(draws) == 1 and len(bank) == 3
+    # an entry larger than the bound is returned but not kept
+    big = bank.samples(0, 40, 8, 100)
+    assert big.shape == (40, 8, 2)
+    assert len(bank) == 0 and bank.nbytes == 0
+
+
+def test_bank_bound_holds_one_des_search():
+    # a DES greedy search draws 16 samples of (6 + 14) rows x 64 inputs
+    # at 800 samples each; all 8 S-boxes reuse them
+    des_entry = 20 * 64 * n_lanes(800) * 8
+    assert SAMPLE_BANK.max_bytes >= 16 * des_entry
