@@ -98,28 +98,23 @@ class CompiledNetlist:
         """Drive the netlist on share arrays; returns output shares.
 
         ``s0``/``s1`` are ``(n_inputs, N)`` boolean arrays, ``rand`` is
-        ``(fresh_bits, N)``.  Inputs are applied at cycle 0 from the
-        all-zero reset state — the same protocol the exact verifier
-        uses — and outputs are read after ``n_cycles`` cycles.
+        ``(fresh_bits, N)``.  They are driven through the exact
+        verifier's protocol (:meth:`~repro.verify.probes.GadgetSpec.drive`:
+        all at cycle 0, from the all-zero reset state) and outputs are
+        read after ``n_cycles`` cycles.  The netlist is simulated once,
+        so its schedule is not compiled.
         """
         from ..sim.clocking import ClockedHarness
 
-        c = self.circuit
-        n = s0.shape[1]
-        period = self.gadget_spec().resolved_period_ps
+        spec = self.gadget_spec()
         harness = ClockedHarness(
-            c, n, period_ps=period, check_timing=False, compile_schedules=False
+            self.circuit, s0.shape[1], period_ps=spec.resolved_period_ps,
+            check_timing=False, compile_schedules=False,
         )
-        harness.preload({}, {w: False for w in c.inputs})
-        events = []
+        values = dict(zip(self.rand_names, rand))
         for i, (n0, n1) in enumerate(self.input_shares):
-            events.append((0, c.wire(n0), s0[i]))
-            events.append((0, c.wire(n1), s1[i]))
-        for k, name in enumerate(self.rand_names):
-            events.append((0, c.wire(name), rand[k]))
-        harness.step(events)
-        for _ in range(self.n_cycles - 1):
-            harness.step()
+            values[n0], values[n1] = s0[i], s1[i]
+        spec.drive(harness, values)
         out = harness.output_values()
         o0 = np.stack([out[a] for a, _ in self.output_shares])
         o1 = np.stack([out[b] for _, b in self.output_shares])

@@ -26,10 +26,9 @@ from .compiled import (
     unpin_schedule_cache,
 )
 from .power import CouplingModel, NullRecorder, PowerRecorder, default_weights
-from .simulator import ScalarSimulator, Waveform
 from .vectorsim import InputEvent, SimulationError, VectorSimulator
 from .clocking import ClockedHarness, TimingViolation
-from .vcd import to_vcd
+from .vcd import Waveform, to_vcd, trace_waveforms
 
 __all__ = [
     "HAVE_BITWISE_COUNT",
@@ -51,12 +50,12 @@ __all__ = [
     "NullRecorder",
     "PowerRecorder",
     "default_weights",
-    "ScalarSimulator",
-    "Waveform",
     "InputEvent",
     "SimulationError",
     "VectorSimulator",
     "ClockedHarness",
     "TimingViolation",
+    "Waveform",
     "to_vcd",
+    "trace_waveforms",
 ]

@@ -25,11 +25,12 @@ in the first order even when probing-secure (cf. De Cnudde et al.,
 
 Recording
 ---------
-Both simulation engines hand every settle to one sink,
+Both simulation engines hand every settle to the recorder's sink,
 :class:`PackedToggleAccumulator`, in a single call — ``uint64`` lanes
 from the packed engine, boolean rows otherwise: the interpreter its
 live transitions in recording order, a compiled replay its rows and
-each update's liveness.  The sink gathers a replay's live
+each update's liveness.  (:class:`TransientRecorder` is its own sink,
+with the same entry.)  The sink gathers a replay's live
 ``new ^ prev`` rows through the schedule's deposit plan, its updates
 stable-sorted by weight (kept per weight content).  Updates are in time
 order, so within one weight the bins are nondecreasing for any time
@@ -384,34 +385,13 @@ class PackedToggleAccumulator:
             return np.ascontiguousarray(p.T, dtype=np.float32)
 
 
-def toggle_sink(recorder, n_traces: int) -> Optional[Callable]:
-    """The per-settle sink the simulation engines feed for ``recorder``.
-
-    ``None`` for no recorder or a null recorder (nothing is recorded).
-    Recorders with a :class:`PackedToggleAccumulator` (``sink``) get its
-    :meth:`~PackedToggleAccumulator.add`; any other recorder gets an
-    adapter that calls its ``record_wire(t_ps, wire, toggled, new)``
-    once per live row, in recording order, with boolean rows.
-    """
+def toggle_sink(recorder) -> Optional[Callable]:
+    """The per-settle sink the simulation engines feed for ``recorder``:
+    its ``sink.add``, or ``None`` for no recorder or a null recorder
+    (nothing is recorded)."""
     if recorder is None or getattr(recorder, "is_null", False):
         return None
-    sink = getattr(recorder, "sink", None)
-    if sink is not None:
-        return sink.add
-    record_wire = recorder.record_wire
-
-    def per_wire(times, wires, toggled, new) -> None:
-        if not isinstance(wires, np.ndarray):  # a replay: its live rows
-            times, wires, toggled, new = _update_rows(
-                times, wires, toggled, np.flatnonzero(new)
-            )
-        if toggled.dtype == np.uint64:
-            toggled = unpack_bool(toggled, n_traces)
-            new = unpack_bool(new, n_traces)
-        for t, w, tog, nw in zip(times.tolist(), wires.tolist(), toggled, new):
-            record_wire(t, w, tog, nw)
-
-    return per_wire
+    return recorder.sink.add
 
 
 class PowerRecorder:
@@ -498,30 +478,36 @@ class TransientRecorder:
     Where :class:`PowerRecorder` collapses transitions into a power
     trace, this recorder keeps the full ``(time, wire, toggled, new)``
     event stream — the raw material of a *glitch-extended probe*
-    (:mod:`repro.verify`): the complete transient value sequence each
-    wire takes while the logic settles.  Both engines deliver it through
-    :func:`toggle_sink`, one :meth:`record_wire` per transition in
-    recording order.  The bit-packed engine (``pack_traces=True``) is
-    refused: the simulator checks :attr:`requires_transients` and raises
-    before simulating (see :mod:`repro.sim.bitpack`).
+    (:mod:`repro.verify`) and of waveforms
+    (:func:`repro.sim.vcd.trace_waveforms`).  It is its own sink: both
+    engines call :meth:`add` once per settle, as they call
+    :meth:`PackedToggleAccumulator.add`, and the events come out in
+    recording order as per-trace boolean rows whichever engine ran — a
+    compiled replay's live updates are gathered from its rows, packed
+    ``uint64`` lanes are unpacked to ``n_traces``.
     """
 
-    #: The simulator keeps the exact boolean transient path for this
-    #: recorder: packed simulation raises instead of silently handing
-    #: it lane words.
-    requires_transients = True
-
-    def __init__(self) -> None:
+    def __init__(self, n_traces: int) -> None:
+        self.n_traces = n_traces
         #: ``(t_ps, wire, toggled, new)`` in simulation order; ``toggled``
-        #: and ``new`` are per-trace boolean arrays (copies).
+        #: and ``new`` are per-trace boolean arrays.
         self.events: List[Tuple[float, int, np.ndarray, np.ndarray]] = []
 
-    def record_wire(
-        self, t_ps, wire: int, toggled: np.ndarray, new: np.ndarray
-    ) -> None:
-        self.events.append((t_ps, int(wire), toggled.copy(), new.copy()))
+    @property
+    def sink(self) -> "TransientRecorder":
+        return self
 
-    record_batch = PowerRecorder.record_batch
+    def add(self, times, wires, toggled, new) -> None:
+        """One settle's live rows, or a replay's (as
+        :meth:`PackedToggleAccumulator.add` takes them)."""
+        if not isinstance(wires, np.ndarray):  # a replay: its live rows
+            times, wires, toggled, new = _update_rows(
+                times, wires, toggled, np.flatnonzero(new)
+            )
+        if toggled.dtype == np.uint64:
+            toggled = unpack_bool(toggled, self.n_traces)
+            new = unpack_bool(new, self.n_traces)
+        self.events.extend(zip(times.tolist(), wires.tolist(), toggled, new))
 
 
 class NullRecorder:

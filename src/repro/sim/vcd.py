@@ -1,19 +1,62 @@
-"""VCD waveform export for the scalar simulator.
+"""Waveforms of one trace and their VCD export.
 
-Dumps the waveforms recorded by :class:`~repro.sim.simulator.
-ScalarSimulator` as a Value Change Dump file, viewable in GTKWave &co —
-the standard way to eyeball a glitch: load the secAND2 trace and watch
-``z0`` pulse when ``x0`` arrives last.
+A one-trace :class:`~repro.sim.vectorsim.VectorSimulator` run with a
+:class:`~repro.sim.power.TransientRecorder` holds every transition of
+every wire; :func:`trace_waveforms` turns its events into per-wire
+:class:`Waveform` histories and :func:`to_vcd` dumps them as a Value
+Change Dump file, viewable in GTKWave &co — the standard way to eyeball
+a glitch: load the secAND2 trace and watch ``z0`` pulse when ``x0``
+arrives last.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..netlist.circuit import Circuit
-from .simulator import ScalarSimulator
 
-__all__ = ["to_vcd"]
+__all__ = ["Waveform", "trace_waveforms", "to_vcd"]
+
+
+@dataclass
+class Waveform:
+    """History of one wire: list of (time_ps, value) change points."""
+
+    initial: bool = False
+    changes: List[Tuple[int, bool]] = field(default_factory=list)
+
+    def value_at(self, t: int) -> bool:
+        v = self.initial
+        for ct, cv in self.changes:
+            if ct > t:
+                break
+            v = cv
+        return v
+
+    @property
+    def n_transitions(self) -> int:
+        return len(self.changes)
+
+
+def trace_waveforms(events, final: Sequence, trace: int = 0) -> Dict[int, Waveform]:
+    """Every wire's waveform in trace ``trace`` of a recorded run.
+
+    Args:
+        events: A :class:`~repro.sim.power.TransientRecorder`'s events.
+        final: Each wire's value in that trace at the end of the run
+            (e.g. ``sim.values[:, trace]``).  A recorded transition
+            flips its wire, so a wire starts at the complement of its
+            first change, or at its final value if it never changed.
+        trace: Which trace of the run.
+    """
+    waves = {w: Waveform() for w in range(len(final))}
+    for t, wire, toggled, new in events:
+        if toggled[trace]:
+            waves[wire].changes.append((t, bool(new[trace])))
+    for w, wf in waves.items():
+        wf.initial = not wf.changes[0][1] if wf.changes else bool(final[w])
+    return waves
 
 
 def _identifiers() -> Iterable[str]:
@@ -27,32 +70,33 @@ def _identifiers() -> Iterable[str]:
 
 
 def to_vcd(
-    sim: ScalarSimulator,
+    circuit: Circuit,
+    waveforms: Dict[int, Waveform],
     wires: Optional[Iterable[str]] = None,
     timescale: str = "1ps",
     module: str = "dut",
 ) -> str:
-    """Render the simulator's recorded waveforms as VCD text.
+    """Render per-wire waveforms as VCD text.
 
     Args:
-        sim: A scalar simulator that has been stepped (its waveforms
-            are read; the simulation state is untouched).
+        circuit: The simulated circuit (wire names).
+        waveforms: Wire id -> :class:`Waveform`, every wire of the
+            circuit (:func:`trace_waveforms`).
         wires: Wire names to dump (default: every named wire that
             toggled, plus all primary inputs and outputs).
         timescale: VCD timescale directive.
         module: Scope name.
     """
-    c: Circuit = sim.circuit
     if wires is None:
-        chosen: List[int] = list(c.inputs)
-        chosen += list(c.outputs.values())
+        chosen: List[int] = list(circuit.inputs)
+        chosen += list(circuit.outputs.values())
         chosen += [
             w
-            for w, wf in sim.waveforms.items()
+            for w, wf in waveforms.items()
             if wf.n_transitions and w not in chosen
         ]
     else:
-        chosen = [c.wire(n) for n in wires]
+        chosen = [circuit.wire(n) for n in wires]
     # stable order, unique
     chosen = list(dict.fromkeys(chosen))
 
@@ -66,7 +110,7 @@ def to_vcd(
         f"$scope module {module} $end",
     ]
     for w in chosen:
-        name = c.wire_name(w).replace(" ", "_")
+        name = circuit.wire_name(w).replace(" ", "_")
         lines.append(f"$var wire 1 {ids[w]} {name} $end")
     lines.append("$upscope $end")
     lines.append("$enddefinitions $end")
@@ -75,13 +119,13 @@ def to_vcd(
     lines.append("#0")
     lines.append("$dumpvars")
     for w in chosen:
-        lines.append(f"{int(sim.waveforms[w].initial)}{ids[w]}")
+        lines.append(f"{int(waveforms[w].initial)}{ids[w]}")
     lines.append("$end")
 
     # merge change points by time
     events: Dict[int, List[str]] = {}
     for w in chosen:
-        for t, v in sim.waveforms[w].changes:
+        for t, v in waveforms[w].changes:
             events.setdefault(int(t), []).append(f"{int(v)}{ids[w]}")
     for t in sorted(events):
         lines.append(f"#{t}")

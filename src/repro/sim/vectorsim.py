@@ -46,9 +46,10 @@ Packed trace lanes
 stores wire state as ``uint64`` lanes of 64 traces each
 (:mod:`repro.sim.bitpack`): every gate evaluation and toggle mask
 becomes a bitwise op on 64x less data, while liveness guards, event
-accounting and the recorded power stay bit-identical to the boolean
-engine.  :class:`~repro.sim.power.TransientRecorder` needs the boolean
-per-wire transient stream and is refused under packing.
+accounting and every recorder's result stay bit-identical to the
+boolean engine: the power matrix, and the
+:class:`~repro.sim.power.TransientRecorder` stream, whose sink unpacks
+the lanes of each settle's live rows to per-trace booleans.
 """
 
 from __future__ import annotations
@@ -226,8 +227,9 @@ class VectorSimulator:
         Args:
             input_events: ``(time_ps, wire, new_values)`` tuples; times
                 are relative to the start of this call.
-            recorder: Optional power recorder; receives every transition
-                batch at absolute time ``t_offset + t``.
+            recorder: Optional power or transient recorder; its sink
+                receives the settle's transitions at absolute times
+                ``t_offset + t``.
             t_offset: Absolute time of this call's t=0 (for binning).
             max_events: Event budget; default ``64 * n_gates + 64``.
 
@@ -237,18 +239,8 @@ class VectorSimulator:
         gates = self.circuit.gates
         if max_events is None:
             max_events = 64 * max(1, len(gates)) + 64
-        if (
-            self.packed
-            and recorder is not None
-            and getattr(recorder, "requires_transients", False)
-        ):
-            raise RuntimeError(
-                f"{type(recorder).__name__} needs the boolean per-wire "
-                "transient stream; construct the simulator with "
-                "pack_traces=False"
-            )
         events = [(t, wire, self._coerce(vals)) for t, wire, vals in input_events]
-        sink = toggle_sink(recorder, self.n_traces)
+        sink = toggle_sink(recorder)
 
         if self.compile_schedules:
             program = lookup_or_compile(

@@ -28,7 +28,7 @@ from .probes import (
     GadgetSpec,
     VerificationBudgetError,
     iter_probe_chunks,
-    witness_simulator,
+    witness_waveforms,
 )
 from .report import (
     LeakingProbe,
@@ -45,7 +45,7 @@ __all__ = [
     "VerificationBudgetError",
     "MAX_INPUT_BITS",
     "iter_probe_chunks",
-    "witness_simulator",
+    "witness_waveforms",
     "ProbeDistribution",
     "ProbeTabulation",
     "tabulate_probes",

@@ -48,9 +48,8 @@ __all__ = ["SpecTraceSource", "CrossValidation", "cross_validate"]
 class SpecTraceSource:
     """Fixed-vs-random trace source over a :class:`GadgetSpec`.
 
-    Drives the spec's circuit exactly like the verifier does — settled
-    all-zero reset state, then the scheduled input events, ``n_cycles``
-    clock cycles — but with sampled stimuli and a
+    Drives the spec's circuit through the verifier's protocol
+    (:meth:`GadgetSpec.drive`) but with sampled stimuli and a
     :class:`~repro.sim.power.PowerRecorder`: fixed class = fixed
     unshared secrets under fresh uniform sharings, random class =
     uniform secrets; fresh masks uniform in both.  Unlike the verifier
@@ -108,27 +107,15 @@ class SpecTraceSource:
         for name in spec.randoms:
             values[name] = rng.integers(0, 2, size=n).astype(bool)
 
-        circuit = spec.circuit
         harness = ClockedHarness(
-            circuit, n, period_ps=self.period_ps,
+            spec.circuit, n, period_ps=self.period_ps,
             pack_traces=self.pack_traces,
-        )
-        harness.preload(
-            {}, {circuit.wire(name): False for name in values}
         )
         recorder = PowerRecorder(
             n, self.total_time_ps, bin_ps=self.bin_ps,
             weights=harness.sim.weights,
         )
-        sched = spec.schedule_map()
-        for cycle in range(spec.n_cycles):
-            lo = cycle * self.period_ps
-            events = [
-                (t - lo, circuit.wire(name), values[name])
-                for name, t in sched.items()
-                if lo <= t < lo + self.period_ps
-            ]
-            harness.step(events, recorder=recorder)
+        spec.drive(harness, values, recorder)
         return recorder.power
 
 

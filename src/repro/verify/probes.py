@@ -12,10 +12,13 @@ is independent of the unshared secrets.
 This module derives each wire's probe exactly: it sweeps all ``2^k``
 assignments of the gadget's share/mask inputs through the event-driven
 simulator (:class:`~repro.sim.vectorsim.VectorSimulator` under a
-:class:`~repro.sim.clocking.ClockedHarness`, ``compile_schedules=False``
-so every transition is observable) and records, per assignment, the
-complete transition sequence of every wire via
-:class:`~repro.sim.power.TransientRecorder`.  Enumeration is vectorised
+:class:`~repro.sim.clocking.ClockedHarness`, driven by
+:meth:`GadgetSpec.drive`) and records, per assignment, the complete
+transition sequence of every wire via
+:class:`~repro.sim.power.TransientRecorder`.  The harness runs
+``compile_schedules=False``: compiled replay hands the recorder the
+same stream, but a gadget is simulated once, so compiling its schedule
+would not pay.  Enumeration is vectorised
 — each chunk of assignments is one batched simulation — and chunked so
 ``k`` up to ~20 stays tractable; beyond the budget a
 :class:`VerificationBudgetError` is raised instead of silently
@@ -40,14 +43,14 @@ from ..netlist.circuit import Circuit
 from ..netlist.timing import arrival_times
 from ..sim.clocking import ClockedHarness
 from ..sim.power import TransientRecorder
-from ..sim.simulator import ScalarSimulator, Waveform
+from ..sim.vcd import Waveform, trace_waveforms
 
 __all__ = [
     "GadgetSpec",
     "ProbeChunk",
     "VerificationBudgetError",
     "iter_probe_chunks",
-    "witness_simulator",
+    "witness_waveforms",
     "MAX_INPUT_BITS",
 ]
 
@@ -189,6 +192,28 @@ class GadgetSpec:
             period_ps=None if self.period_ps is None else self.period_ps,
         )
 
+    def drive(
+        self, harness: ClockedHarness, values: Dict[str, np.ndarray], recorder=None
+    ) -> None:
+        """Run the spec's protocol on a fresh ``harness``: every input
+        preloaded to 0 and the logic settled silently (the consistent
+        reset condition every experiment in this repo uses), then
+        ``values[name]`` applied at each input's scheduled time over
+        ``n_cycles`` cycles of ``harness.period_ps``, recorded by
+        ``recorder``."""
+        circuit = self.circuit
+        harness.preload({}, {circuit.wire(name): False for name in self.input_bits})
+        period = harness.period_ps
+        sched = self.schedule_map()
+        for cycle in range(self.n_cycles):
+            lo = cycle * period
+            events = [
+                (t - lo, circuit.wire(name), values[name])
+                for name, t in sched.items()
+                if lo <= t < lo + period
+            ]
+            harness.step(events, recorder=recorder)
+
     # ------------------------------------------------------------------
     def assignment_bits(self, index: np.ndarray) -> Dict[str, np.ndarray]:
         """Input name -> boolean value array for assignment indices."""
@@ -245,34 +270,18 @@ class ProbeChunk:
 
 def _run_schedule(
     spec: GadgetSpec, bits: Dict[str, np.ndarray], n: int
-) -> Tuple[np.ndarray, TransientRecorder]:
-    """Drive one batch of assignments; return (initial state, recorder).
+) -> Tuple[ClockedHarness, TransientRecorder]:
+    """Drive one batch of assignments; return (harness, recorder).
 
-    All traces start from the settled all-zero input state (the
-    consistent reset condition every experiment in this repo uses), so
-    the initial wire values are identical across assignments and the
+    All traces start from the same settled all-zero state, so the
     recorded transitions are the entire observable.
     """
-    circuit = spec.circuit
-    period = spec.resolved_period_ps
     harness = ClockedHarness(
-        circuit, n, period_ps=period, compile_schedules=False
+        spec.circuit, n, period_ps=spec.resolved_period_ps, compile_schedules=False
     )
-    harness.preload(
-        {}, {circuit.wire(name): False for name in spec.input_bits}
-    )
-    initial = harness.sim.values[:, 0].copy()
-    recorder = TransientRecorder()
-    sched = spec.schedule_map()
-    for cycle in range(spec.n_cycles):
-        lo = cycle * period
-        events = [
-            (t - lo, circuit.wire(name), bits[name])
-            for name, t in sched.items()
-            if lo <= t < lo + period
-        ]
-        harness.step(events, recorder=recorder)
-    return initial, recorder
+    recorder = TransientRecorder(n)
+    spec.drive(harness, bits, recorder)
+    return harness, recorder
 
 
 def iter_probe_chunks(
@@ -306,28 +315,17 @@ def iter_probe_chunks(
         )
 
 
-def witness_simulator(spec: GadgetSpec, assignment: Dict[str, int]) -> ScalarSimulator:
-    """Re-simulate one concrete assignment with full waveforms.
+def witness_waveforms(
+    spec: GadgetSpec, assignment: Dict[str, int]
+) -> Dict[int, Waveform]:
+    """Re-simulate one concrete assignment; every wire's waveform.
 
-    Returns a :class:`ScalarSimulator` whose ``waveforms`` hold the
-    witness's transient activity — ready for
-    :func:`repro.sim.vcd.to_vcd` (the standard way to eyeball the
-    counterexample glitch in GTKWave).
+    Ready for :func:`repro.sim.vcd.to_vcd` (the standard way to eyeball
+    the counterexample glitch in GTKWave).
     """
     spec.validate()
     bits = {
         name: np.array([bool(assignment[name])]) for name in spec.input_bits
     }
-    initial, recorder = _run_schedule(spec, bits, 1)
-    shell = ScalarSimulator(spec.circuit)
-    for w in range(spec.circuit.n_wires):
-        shell.values[w] = bool(initial[w])
-    shell.waveforms = {
-        w: Waveform(initial=bool(initial[w]))
-        for w in range(spec.circuit.n_wires)
-    }
-    for t, wire, toggled, new in recorder.events:
-        if toggled[0]:
-            shell.waveforms[wire].changes.append((t, bool(new[0])))
-            shell.values[wire] = bool(new[0])
-    return shell
+    harness, recorder = _run_schedule(spec, bits, 1)
+    return trace_waveforms(recorder.events, harness.sim.values[:, 0])

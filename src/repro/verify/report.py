@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.safety import count_violations, min_ordering_margin
+from ..sim.vcd import to_vcd
 from .distributions import (
     ProbeTabulation,
     TraceKey,
     tabulate_probes,
 )
-from .probes import MAX_INPUT_BITS, GadgetSpec, witness_simulator
+from .probes import MAX_INPUT_BITS, GadgetSpec, witness_waveforms
 
 __all__ = [
     "LeakingProbe",
@@ -218,16 +219,14 @@ def counterexample_vcd(
 ) -> str:
     """VCD of the witness assignment's transient activity.
 
-    Re-simulates the leaking probe's witness scalar-exactly and dumps
-    the waveforms; the leaking wire is always included so the
+    Re-simulates the leaking probe's witness as a one-trace run and
+    dumps its waveforms; the leaking wire is always included so the
     counterexample glitch is front and centre in the viewer.
     """
-    from ..sim.vcd import to_vcd
-
-    sim = witness_simulator(spec, probe.witness)
+    waveforms = witness_waveforms(spec, probe.witness)
     if wires is not None:
         wires = list(dict.fromkeys([probe.wire_name, *wires]))
-    return to_vcd(sim, wires=wires)
+    return to_vcd(spec.circuit, waveforms, wires=wires)
 
 
 # ----------------------------------------------------------------------

@@ -16,24 +16,8 @@ from repro.core.shares import share
 from repro.netlist.circuit import Circuit
 from repro.sim.clocking import ClockedHarness
 from repro.sim.compiled import schedule_cache_info
-from repro.sim.power import PowerRecorder
+from repro.sim.power import PowerRecorder, TransientRecorder
 from repro.sim.vectorsim import SimulationError, VectorSimulator
-
-
-class LoggingRecorder:
-    """Records every transition verbatim.
-
-    Not a :class:`PowerRecorder`, so both engines deliver each settle's
-    transitions to :meth:`record_wire` one by one, in recording order —
-    the log captures the *order* of recorded transitions, not just
-    their sum.
-    """
-
-    def __init__(self):
-        self.log = []
-
-    def record_wire(self, t_ps, wire, toggled, new):
-        self.log.append((t_ps, wire, toggled.copy(), new.copy()))
 
 
 def assert_logs_equal(log_a, log_b):
@@ -90,9 +74,9 @@ def run_both(circuit, events_list, n):
     out = []
     for compiled in (False, True):
         sim = VectorSimulator(circuit, n, compile_schedules=compiled)
-        rec = LoggingRecorder()
+        rec = TransientRecorder(n)
         times = [sim.settle(events, recorder=rec) for events in events_list]
-        out.append((times, sim.events_processed, sim.values.copy(), rec.log))
+        out.append((times, sim.events_processed, sim.values.copy(), rec.events))
     return out
 
 
@@ -135,7 +119,7 @@ def _drive_gadget_harness(circuit, compiled, n, rng_seed, reset_groups=()):
     rec = PowerRecorder(
         n, h.total_time_ps(6), bin_ps=50, weights=h.sim.weights
     )
-    log = LoggingRecorder()
+    log = TransientRecorder(n)
     names = ("x0", "x1", "y0", "y1")
     for cycle in range(6):
         vals = {k: rng.integers(0, 2, n).astype(bool) for k in names}
@@ -148,7 +132,7 @@ def _drive_gadget_harness(circuit, compiled, n, rng_seed, reset_groups=()):
             recorder=rec if cycle % 2 == 0 else log,
             reset_groups=reset_groups if cycle % 3 == 0 else (),
         )
-    return h, rec.power.copy(), log.log
+    return h, rec.power.copy(), log.events
 
 
 @pytest.mark.parametrize(
@@ -192,9 +176,9 @@ def test_jittered_pd_gadget_equality():
     results = []
     for compiled in (False, True):
         sim = VectorSimulator(c, n, compile_schedules=compiled)
-        rec = LoggingRecorder()
+        rec = TransientRecorder(n)
         t = sim.settle(events, recorder=rec)
-        results.append((t, sim.values.copy(), rec.log))
+        results.append((t, sim.values.copy(), rec.events))
     assert results[0][0] == results[1][0]
     assert np.array_equal(results[0][1], results[1][1])
     assert_logs_equal(results[0][2], results[1][2])

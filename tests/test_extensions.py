@@ -182,14 +182,16 @@ def test_verilog_trichina_lut():
 # ----------------------------------------------------------------------
 def test_vcd_export_glitch_waveform():
     from repro.core.gadgets import build_secand2
-    from repro.sim.simulator import ScalarSimulator
-    from repro.sim.vcd import to_vcd
+    from repro.sim.power import TransientRecorder
+    from repro.sim.vcd import to_vcd, trace_waveforms
+    from repro.sim.vectorsim import VectorSimulator
 
     c = build_secand2()
-    sim = ScalarSimulator(c)
+    sim = VectorSimulator(c, 1)
     sim.evaluate_combinational({c.wire(n): False for n in ("x0", "x1", "y0", "y1")})
-    sim.settle([(0, c.wire("y0"), True), (1000, c.wire("x0"), True)])
-    vcd = to_vcd(sim)
+    rec = TransientRecorder(1)
+    sim.settle([(0, c.wire("y0"), True), (1000, c.wire("x0"), True)], recorder=rec)
+    vcd = to_vcd(c, trace_waveforms(rec.events, sim.values[:, 0]))
     assert "$timescale 1ps $end" in vcd
     assert "$var wire 1" in vcd
     assert "#0" in vcd and "#1000" in vcd
@@ -198,12 +200,10 @@ def test_vcd_export_glitch_waveform():
 
 def test_vcd_selected_wires():
     from repro.core.gadgets import build_secand2
-    from repro.sim.simulator import ScalarSimulator
-    from repro.sim.vcd import to_vcd
+    from repro.sim.vcd import to_vcd, trace_waveforms
 
     c = build_secand2()
-    sim = ScalarSimulator(c)
-    vcd = to_vcd(sim, wires=["x0", "y1"])
+    vcd = to_vcd(c, trace_waveforms([], [False] * c.n_wires), wires=["x0", "y1"])
     assert vcd.count("$var wire 1") == 2
 
 

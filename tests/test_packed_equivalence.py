@@ -28,12 +28,7 @@ from repro.verify import preset_spec
 from repro.verify.crossval import SpecTraceSource
 from repro.verify.presets import PRESETS
 
-from .test_compiled import (
-    LoggingRecorder,
-    assert_logs_equal,
-    random_circuit,
-    random_events,
-)
+from .test_compiled import assert_logs_equal, random_circuit, random_events
 
 #: Deliberately ragged campaign geometry: 120 % 64 != 0 and the final
 #: batch is 80 traces — every packed batch exercises lane padding.
@@ -154,7 +149,7 @@ def test_random_circuit_packed_transition_equality(seed, compiled):
         sim = VectorSimulator(
             c, n, compile_schedules=compiled, pack_traces=pack
         )
-        rec = LoggingRecorder()
+        rec = TransientRecorder(n)
         times = [
             sim.settle(events, recorder=rec)
             for events in (events_a, events_b)
@@ -162,7 +157,7 @@ def test_random_circuit_packed_transition_equality(seed, compiled):
         values = np.stack(
             [sim.wire_values(w) for w in range(c.n_wires)]
         )
-        out.append((times, sim.events_processed, values, rec.log))
+        out.append((times, sim.events_processed, values, rec.events))
     (tb, eb, vb, lb), (tp, ep, vp, lp) = out
     assert tb == tp
     assert eb == ep
@@ -198,7 +193,7 @@ def test_coupling_window_ordering_bitwise_equal(compiled):
 
 
 # ----------------------------------------------------------------------
-# NullRecorder fast path + TransientRecorder refusal
+# NullRecorder fast path + TransientRecorder on packed lanes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("compiled", [False, True])
 def test_null_recorder_packed_fast_path(compiled):
@@ -231,21 +226,27 @@ def test_null_recorder_methods_are_noops():
     assert rec.n_bins == 0
 
 
-def test_transient_recorder_refuses_packed_settle():
-    """TransientRecorder needs per-trace transients; the packed engine
-    must refuse it loudly instead of silently unpacking everything."""
+@pytest.mark.parametrize("n", [100, 128])
+@pytest.mark.parametrize("compiled", [False, True])
+def test_packed_transients_equal_boolean(n, compiled):
+    """A TransientRecorder under the packed engine unpacks each settle's
+    lanes: the same events, in the same order, as the boolean engine,
+    whole lanes or ragged."""
     c = random_circuit(3)
-    n = 128
-    sim = VectorSimulator(c, n, pack_traces=True)
-    rec = TransientRecorder()
     events = random_events(c, np.random.default_rng(0), n)
-    with pytest.raises(RuntimeError, match="pack_traces=False"):
+    logs = []
+    for pack in (False, True):
+        sim = VectorSimulator(c, n, compile_schedules=compiled, pack_traces=pack)
+        rec = TransientRecorder(n)
         sim.settle(events, recorder=rec)
+        assert all(tog.shape == nw.shape == (n,) for _, _, tog, nw in rec.events)
+        logs.append(rec.events)
+    assert logs[0]
+    assert_logs_equal(*logs)
 
 
 def test_transient_recorder_fine_with_auto_small_batch():
-    """'auto' keeps small verify-style batches boolean, so the exact
-    verifier's TransientRecorder path is unaffected by the default."""
+    """'auto' keeps small verify-style batches boolean."""
     c = random_circuit(3)
     n = 8
     sim = VectorSimulator(
@@ -253,7 +254,7 @@ def test_transient_recorder_fine_with_auto_small_batch():
     )
     assert not sim.packed
     events = random_events(c, np.random.default_rng(0), n)
-    sim.settle(events, recorder=TransientRecorder())
+    sim.settle(events, recorder=TransientRecorder(n))
 
 
 # ----------------------------------------------------------------------

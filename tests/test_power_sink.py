@@ -25,7 +25,6 @@ from repro.sim.power import (
     packed_accumulator_counters,
     reset_packed_accumulator_counters,
 )
-from repro.sim.simulator import ScalarSimulator
 from repro.sim.vectorsim import VectorSimulator
 
 
@@ -250,12 +249,12 @@ def test_output_declared_after_a_simulator_exists_is_checked():
     simulator still runs the circuit check."""
     c = _chain()
     floating = c.add_wire("floating")
-    VectorSimulator(c, 4), ScalarSimulator(c)
+    VectorSimulator(c, 4), VectorSimulator(c, 1)
     c.mark_output("f", floating)
     with pytest.raises(CircuitError, match="undriven"):
         VectorSimulator(c, 4)
     with pytest.raises(CircuitError, match="undriven"):
-        ScalarSimulator(c)
+        VectorSimulator(c, 1)
 
 
 def test_pinned_circuit_edit_does_not_reach_the_maps():
@@ -266,7 +265,7 @@ def test_pinned_circuit_edit_does_not_reach_the_maps():
     try:
         c.add_gate("INV", [c.gates[-1].output])
         assert len(circuit_maps(c)[1]) == c.n_wires
-        ScalarSimulator(c)
+        VectorSimulator(c, 1)
         VectorSimulator(c, 4, compile_schedules=False)
     finally:
         unpin_schedule_cache(c)

@@ -4,7 +4,9 @@ The interpreted event loop (``compile_schedules=False``, boolean rows)
 is the oracle.  Compiled replay, on boolean rows and on packed ``uint64``
 lanes, must agree with it bitwise on random small circuits: wire values,
 ``events_processed``, settle times, recorded power (with and without
-coupling) and, when the event budget runs out, every field of the
+coupling), the :class:`~repro.sim.power.TransientRecorder` event
+stream (times, wires, toggled and new rows, in recording order) and,
+when the event budget runs out, every field of the
 :class:`SimulationError`.
 
 The stimuli are chosen to hit the scheduler's corner cases: several
@@ -21,8 +23,10 @@ from hypothesis import strategies as st
 
 from repro.netlist.circuit import Circuit
 from repro.sim.bitpack import pack_bool
-from repro.sim.power import CouplingModel, PowerRecorder
+from repro.sim.power import CouplingModel, PowerRecorder, TransientRecorder
 from repro.sim.vectorsim import SimulationError, VectorSimulator
+
+from .test_compiled import assert_logs_equal
 
 _TWO_INPUT = ["AND2", "OR2", "XOR2", "NAND2", "NOR2", "XNOR2", "ANDN2", "ORN2"]
 
@@ -80,7 +84,10 @@ def scenarios(draw):
     return c, n, seed, patterns, coefficient, max_events
 
 
-def _run(c, n, seed, patterns, coefficient, max_events, compiled, packed):
+def _run(
+    c, n, seed, patterns, coefficient, max_events, compiled, packed,
+    transients=False,
+):
     rng = np.random.default_rng(seed)
     sim = VectorSimulator(c, n, compile_schedules=compiled, pack_traces=packed)
     # inconsistent initial state: every wire random, drivers ignored
@@ -90,9 +97,12 @@ def _run(c, n, seed, patterns, coefficient, max_events, compiled, packed):
     if coefficient is not None:
         pairs = [(w, w + 1) for w in range(0, c.n_wires - 1, 2)]
         coupling = CouplingModel(pairs, coefficient=coefficient, window_ps=300)
-    rec = PowerRecorder(
-        n, 20_000, bin_ps=100, weights=sim.weights, coupling=coupling
-    )
+    if transients:
+        rec = TransientRecorder(n)
+    else:
+        rec = PowerRecorder(
+            n, 20_000, bin_ps=100, weights=sim.weights, coupling=coupling
+        )
     outcome = []
     for k, pattern in enumerate(patterns):
         events = [
@@ -109,7 +119,7 @@ def _run(c, n, seed, patterns, coefficient, max_events, compiled, packed):
             return outcome
         wires = np.stack([sim.wire_values(w) for w in range(c.n_wires)])
         outcome.append((t_settle, sim.events_processed, wires))
-    outcome.append(rec.power)
+    outcome.append(rec.events if transients else rec.power)
     return outcome
 
 
@@ -118,6 +128,9 @@ def _assert_same(oracle, got):
     for a, b in zip(oracle, got):
         if isinstance(a, np.ndarray):
             assert np.array_equal(a, b)
+            continue
+        if isinstance(a, list):  # transient events
+            assert_logs_equal(a, b)
             continue
         assert a[:2] == b[:2]
         if a[0] == "error":
@@ -133,15 +146,20 @@ def _assert_same(oracle, got):
 )
 @given(scenarios())
 def test_replay_matches_interpreter(scenario):
-    oracle = _run(*scenario, compiled=False, packed=False)
-    for packed in (False, True):
-        _assert_same(oracle, _run(*scenario, compiled=True, packed=packed))
+    for transients in (False, True):
+        oracle = _run(*scenario, compiled=False, packed=False, transients=transients)
+        for packed in (False, True):
+            got = _run(
+                *scenario, compiled=True, packed=packed, transients=transients
+            )
+            _assert_same(oracle, got)
 
 
 @pytest.mark.parametrize("n", [1, 63, 65, 130])
 def test_ragged_batches_with_coupling(n):
-    """Fixed regression examples over the required ragged batch sizes and
-    coupling strengths, independent of hypothesis' draw."""
+    """Fixed regression examples over the required ragged batch sizes,
+    coupling strengths and the transient stream, independent of
+    hypothesis' draw."""
     c = Circuit("ragged")
     a, b, s = c.add_input("a"), c.add_input("b"), c.add_input("s")
     x = c.xor2(a, b)
@@ -152,8 +170,12 @@ def test_ragged_batches_with_coupling(n):
         [(0, a), (0, b), (0, a), (200, s), (200, b)],
         [(0, s), (450, a), (450, a)],
     ]
-    for coefficient in (5.0, 0.25, 0.05):
+    runs = [(coefficient, False) for coefficient in (5.0, 0.25, 0.05)]
+    for coefficient, transients in runs + [(None, True)]:
         scenario = (c, n, n + 7, patterns, coefficient, 10_000)
-        oracle = _run(*scenario, compiled=False, packed=False)
+        oracle = _run(*scenario, compiled=False, packed=False, transients=transients)
         for packed in (False, True):
-            _assert_same(oracle, _run(*scenario, compiled=True, packed=packed))
+            got = _run(
+                *scenario, compiled=True, packed=packed, transients=transients
+            )
+            _assert_same(oracle, got)

@@ -1,12 +1,12 @@
 """Unit tests for the vectorised glitch simulator, including the
-scalar/vector cross-check on random circuits."""
+n-trace against one-trace cross-check on random circuits."""
 
 import numpy as np
 import pytest
 
 from repro.netlist.circuit import Circuit, CircuitError
-from repro.sim.power import PowerRecorder
-from repro.sim.simulator import ScalarSimulator
+from repro.sim.power import PowerRecorder, TransientRecorder
+from repro.sim.vcd import trace_waveforms
 from repro.sim.vectorsim import SimulationError, VectorSimulator
 
 
@@ -144,7 +144,9 @@ def test_ff_outputs_not_driven_combinationally():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_vector_matches_scalar_on_random_circuit(seed):
-    """Transition-for-transition cross-check of the two engines."""
+    """An n-trace run against n one-trace (scalar) runs, trace for
+    trace: the same waveform on every wire and the same final values,
+    on the boolean and the packed engine."""
     rng = np.random.default_rng(seed)
     c = Circuit()
     wires = [c.add_input(f"i{k}") for k in range(4)]
@@ -154,26 +156,27 @@ def test_vector_matches_scalar_on_random_circuit(seed):
         a, b = rng.choice(len(wires), 2)
         wires.append(c.add_gate(kind, [wires[a], wires[b]]))
 
-    stim = [(int(200 * k), c.wire(f"i{k}"), bool(rng.integers(0, 2)))
-            for k in range(4)]
+    n = 5
+    inputs = [c.wire(f"i{k}") for k in range(4)]
+    stim = [
+        (200 * k, w, rng.integers(0, 2, n).astype(bool))
+        for k, w in enumerate(inputs)
+    ]
 
-    ssim = ScalarSimulator(c)
-    ssim.evaluate_combinational({c.wire(f"i{k}"): False for k in range(4)})
-    ssim.settle(stim, t_offset=100_000)
+    def run(n_traces, events, pack=False):
+        sim = VectorSimulator(c, n_traces, pack_traces=pack)
+        sim.evaluate_combinational({w: False for w in inputs})
+        rec = TransientRecorder(n_traces)
+        sim.settle(events, recorder=rec, t_offset=100_000)
+        final = np.stack([sim.wire_values(w) for w in range(c.n_wires)])
+        return rec.events, final
 
-    vsim = VectorSimulator(c, 1)
-    vsim.evaluate_combinational({c.wire(f"i{k}"): False for k in range(4)})
-    rec = PowerRecorder(1, 2000, bin_ps=1, weights=None)
-    vsim.settle([(t, w, np.array([v])) for t, w, v in stim], recorder=rec)
-
-    # same final values on every wire
-    for w in range(c.n_wires):
-        assert bool(vsim.values[w][0]) == ssim.values[w]
-    # same transition count during the stimulus window
-    scalar_toggles = sum(
-        1
-        for wf in ssim.waveforms.values()
-        for t, _ in wf.changes
-        if t >= 100_000
-    )
-    assert int(rec.power.sum()) == scalar_toggles
+    singles = [run(1, [(t, w, v[i : i + 1]) for t, w, v in stim]) for i in range(n)]
+    assert any(events for events, _ in singles)
+    for pack in (False, True):
+        events, final = run(n, stim, pack)
+        for i, (one_events, one_final) in enumerate(singles):
+            assert np.array_equal(final[:, i], one_final[:, 0])
+            assert trace_waveforms(events, final[:, i], trace=i) == (
+                trace_waveforms(one_events, one_final[:, 0])
+            )

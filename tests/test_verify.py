@@ -18,7 +18,7 @@ from repro.verify import (
     tabulate_probes,
     verify,
     verify_fault_sweep,
-    witness_simulator,
+    witness_waveforms,
 )
 from repro.verify.cli import main as cli_main
 from repro.verify.presets import PRESETS
@@ -164,12 +164,11 @@ def test_class_sizes_exact():
 # ----------------------------------------------------------------------
 # counterexamples: witness resimulation and VCD export
 # ----------------------------------------------------------------------
-def test_witness_simulator_reproduces_trace():
+def test_witness_waveforms_reproduces_trace():
     spec = preset_spec("secand2_bad_order")
     probe = verify(spec).leaks[0]
-    sim = witness_simulator(spec, probe.witness)
-    got = tuple(sim.waveforms[probe.wire].changes)
-    assert got == probe.trace
+    waveforms = witness_waveforms(spec, probe.witness)
+    assert tuple(waveforms[probe.wire].changes) == probe.trace
 
 
 def test_counterexample_vcd_contains_leaking_wire():
